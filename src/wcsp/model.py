@@ -70,11 +70,26 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
     return result
 
 
+def _decimal(value: int) -> str:
+    """Exact decimal digits of a non-negative int of any size.
+
+    ``str`` refuses ints beyond the interpreter's digit limit (4300 digits by
+    default, never below 640), so larger values are split by a power of ten
+    into pieces of at most 2000 bits, about 600 digits, which it accepts.  The
+    process-wide limit is left alone.
+    """
+    if value.bit_length() <= 2000:
+        return str(value)
+    low_digits = value.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(value, 10**low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
+
+
 def format_rational(value: Fraction) -> str:
-    """Render a rational as ``"num"`` or ``"num/den"`` in lowest terms."""
+    """Render a rational exactly, at any size, as ``"num"`` or ``"num/den"``."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def decimal_rendering(value: Fraction) -> str:
@@ -126,10 +141,12 @@ class WeightFunction:
             raise InputError(f"domain size must be at least 2, got {self.domain_size}")
         if self.arity < 0:
             raise InputError(f"arity must be non-negative, got {self.arity}")
-        expected = self.domain_size**self.arity
-        if len(self.table) != expected:
+        # q**arity >= 2**arity, so an arity beyond the entry count's bit length
+        # cannot match, and the possibly giant power is never computed
+        entries = len(self.table)
+        if self.arity > entries.bit_length() or entries != self.domain_size**self.arity:
             raise InputError(
-                f"table has {len(self.table)} entries, expected {expected} "
+                f"table has {entries} entries, expected {self.domain_size}**{self.arity} "
                 f"for arity {self.arity} over domain {self.domain_size}"
             )
         for pos, entry in enumerate(self.table):
@@ -228,6 +245,8 @@ class Instance:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
+        if self.domain_size < 2:
+            raise InputError(f"domain size must be at least 2, got {self.domain_size}")
         if self.num_variables < 0:
             raise InputError(f"negative variable count {self.num_variables}")
         for name, fn in self.functions.items():
@@ -443,10 +462,7 @@ def instance_from_obj(obj: object) -> Instance:
             raise InputError(f"{here}.scope: expected a list of variable indices")
         scope = tuple(_require_int(v, f"{here}.scope[{i}]") for i, v in enumerate(scope_obj))
         constraints.append(Constraint(name, scope))
-    try:
-        return Instance(n, q, catalog, tuple(constraints))
-    except InputError:
-        raise
+    return Instance(n, q, catalog, tuple(constraints))
 
 
 def parse_instance(text: str) -> Instance:

@@ -23,7 +23,6 @@ from .gf2 import Gf2System, affine_system_of, count_solutions
 from .model import Instance, brute_force_z
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ParityUnionFind:
@@ -72,6 +71,37 @@ class ParityUnionFind:
             self.rank[root_u] += 1
 
 
+def _tree_product(values: list[int]) -> int:
+    """Product of ints, multiplied pairwise level by level (a balanced tree)."""
+    while len(values) > 1:
+        paired = [a * b for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0] if values else 1
+
+
+def exact_product(factors: list[Fraction | int]) -> Fraction:
+    """Exact product of non-negative rationals at near-linear big-integer cost.
+
+    A running ``Fraction`` product reduces by a gcd of the ever-growing
+    partial result at every step, which is quadratic in the result's size.
+    Here numerators and denominators are multiplied as plain ints in balanced
+    product trees, and the result is reduced once.
+    """
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for factor in factors:
+        numerator = factor.numerator
+        if not numerator:
+            return _ZERO
+        if numerator != 1:
+            numerators.append(numerator)
+        if factor.denominator != 1:
+            denominators.append(factor.denominator)
+    return Fraction(_tree_product(numerators), _tree_product(denominators))
+
+
 def eval_product_type(
     instance: Instance, witnesses: dict[str, ProductWitness] | None = None
 ) -> Fraction:
@@ -93,48 +123,45 @@ def eval_product_type(
                 )
             witnesses[name] = witness
 
-    n = instance.num_variables
-    union = ParityUnionFind(n)
-    weight0 = [_ONE] * n  # per-variable factor when the variable is 0
-    weight1 = [_ONE] * n
-    scale = _ONE
+    union = ParityUnionFind(instance.num_variables)
+    scales: list[Fraction] = []
+    # Factors for one side of one variable, 2 * variable + side, with factor
+    # 0 for a pin; each goes to the variable's class once the ties are final.
+    # Two flat lists, not a tuple per factor: allocating containers triggers
+    # the cyclic garbage collector, whose full passes scan the whole instance.
+    sided: list[int] = []
+    factors: list[Fraction] = []
     for c in instance.constraints:
         witness = witnesses[c.function]
         if witness.scale == 0:
             return _ZERO  # a zero function annihilates every assignment
-        scale *= witness.scale
+        scales.append(witness.scale)
         for col, val in witness.constant_columns:
-            v = c.scope[col]
-            if val == 0:
-                weight1[v] = _ZERO
-            else:
-                weight0[v] = _ZERO
+            sided.append(2 * c.scope[col] + 1 - val)
+            factors.append(_ZERO)
         for cls in witness.classes:
             rep_var = c.scope[cls.members[0][0]]
-            if cls.weights[0] != 1:
-                weight0[rep_var] = weight0[rep_var] * cls.weights[0]
-            if cls.weights[1] != 1:
-                weight1[rep_var] = weight1[rep_var] * cls.weights[1]
+            for side in (0, 1):
+                if cls.weights[side] != 1:
+                    sided.append(2 * rep_var + side)
+                    factors.append(cls.weights[side])
             for col, complemented in cls.members[1:]:
                 union.union(rep_var, c.scope[col], 1 if complemented else 0)
 
-    zero_sum: dict[int, Fraction] = {}  # root -> product over class, root at 0
-    one_sum: dict[int, Fraction] = {}
-    for v in range(n):
-        root, parity = union.find(v)
-        if parity == 0:
-            low, high = weight0[v], weight1[v]
-        else:
-            low, high = weight1[v], weight0[v]
-        zero_sum[root] = zero_sum.get(root, _ONE) * low
-        one_sum[root] = one_sum.get(root, _ONE) * high
-
-    result = scale
-    for root, low in zero_sum.items():
-        if union.dead[root]:
-            return _ZERO  # contradictory parities force both class sums to 0
-        result *= low + one_sum[root]
-    return result
+    # A merge carries the dead flag to the new root, so any flag means a root's
+    # class has contradictory parities: both of its sums, hence Z, are 0.
+    if any(union.dead):
+        return _ZERO
+    sides: dict[int, tuple[list[Fraction], list[Fraction]]] = {}  # root -> factors
+    for key, factor in zip(sided, factors):
+        root, parity = union.find(key >> 1)
+        if root not in sides:
+            sides[root] = ([], [])
+        sides[root][(key & 1) ^ parity].append(factor)
+    classes = sum(1 for v, parent in enumerate(union.parent) if v == parent)
+    free = classes - len(sides)  # unweighted classes each sum to 1 + 1
+    totals = [exact_product(low) + exact_product(high) for low, high in sides.values()]
+    return exact_product([*scales, *totals, 1 << free])
 
 
 def eval_pure_affine(instance: Instance) -> Fraction:
@@ -157,9 +184,7 @@ def eval_pure_affine(instance: Instance) -> Fraction:
         systems[name] = affine_system_of(underlying_relation(fn))
 
     rows: list[tuple[int, int]] = []
-    scale = _ONE
     for c in instance.constraints:
-        scale *= levels[c.function]
         arity = len(c.scope)
         for mask, constant in systems[c.function].rows:
             var_mask = 0
@@ -168,7 +193,7 @@ def eval_pure_affine(instance: Instance) -> Fraction:
                     var_mask ^= 1 << c.scope[pos]
             rows.append((var_mask, constant))
     count = count_solutions(Gf2System(instance.num_variables, tuple(rows)))
-    return scale * count
+    return exact_product([*(levels[c.function] for c in instance.constraints), count])
 
 
 def evaluate(

@@ -29,6 +29,20 @@ def encode(point: tuple[int, ...], q: int = 2) -> int:
     return index
 
 
+def decimal_digits(value: int) -> str:
+    """Decimal form of a non-negative int of any size.
+
+    Nine digits at a time from the least significant end, so no single
+    conversion meets the interpreter's int-to-str digit limit.
+    """
+    groups = []
+    while value >= 10**9:
+        value, group = divmod(value, 10**9)
+        groups.append(f"{group:09d}")
+    groups.append(str(value))
+    return "".join(reversed(groups))
+
+
 # ---------------------------------------------------------------------------
 # classifier oracles
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """End-to-end command-line behaviour: reports, exit codes, file handling."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from oracles import decimal_digits
 
 import wcsp.cli as cli
-from wcsp.model import parse_instance
+from wcsp.generate import product_type_chain
+from wcsp.model import instance_to_json, parse_instance
 
 XOR3_INSTANCE = (
     '{"q":2,"n":3,"functions":{"xor3":{"arity":3,'
@@ -114,6 +117,41 @@ def test_bad_budget_environment_value(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WCSP_BUDGET", "plenty")
     code, _, err = run(capsys, "eval", path, "--force-oracle")
     assert code == 2 and "WCSP_BUDGET" in err
+
+
+def test_eval_emits_values_beyond_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    n = 10000
+    path = write(tmp_path, "chain.json", instance_to_json(product_type_chain(n)))
+    code, report, _ = run(capsys, "eval", path)
+    assert code == 0 and report["evaluator"] == "product-type"
+    closed_form = 2 ** (n - 1) + 3 ** (n - 1) * 2 ** -(-n // 3)
+    assert report["value"] == decimal_digits(closed_form)
+
+    path = write(tmp_path, "free.json", '{"q":2,"n":20000,"functions":{},"constraints":[]}')
+    code, report, _ = run(capsys, "eval", path)
+    assert code == 0 and report["value"] == decimal_digits(2**20000)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_eval_rejects_a_giant_table_arity_before_building_it(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "arity.json",
+        '{"q":3,"n":1,"functions":{"f":{"arity":2000000,"table":[]}},"constraints":[]}',
+    )
+    code, report, err = run(capsys, "eval", path)
+    assert code == 2 and report is None
+    assert "table has 0 entries, expected 3**2000000" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("q", [1, 0, -1])
+def test_eval_rejects_domain_size_below_two(tmp_path, capsys, q):
+    path = write(tmp_path, "q.json", f'{{"q":{q},"n":2,"functions":{{}},"constraints":[]}}')
+    code, report, err = run(capsys, "eval", path)
+    assert code == 2 and report is None
+    assert f"domain size must be at least 2, got {q}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import decimal_digits
 
 from wcsp.errors import InputError, Refusal
 from wcsp.library import resolve_builtin
@@ -52,6 +53,8 @@ def test_format_rational_is_canonical():
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(8, 4)) == "2"
     assert format_rational(F(0)) == "0"
+    huge = F(2**20000, 3**13000)  # both parts beyond the 4300-digit str limit
+    assert format_rational(huge) == f"{decimal_digits(2**20000)}/{decimal_digits(3**13000)}"
 
 
 @given(st.fractions(min_value=0))

@@ -1,13 +1,14 @@
 """Polynomial evaluators versus the enumeration oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wcsp.errors import Refusal
-from wcsp.generate import random_instance
+from wcsp.generate import product_type_chain, random_instance
 from wcsp.library import (
     binary_disequality,
     binary_equality,
@@ -22,6 +23,7 @@ from wcsp.tractable import (
     eval_product_type,
     eval_pure_affine,
     evaluate,
+    exact_product,
 )
 
 F = Fraction
@@ -62,6 +64,34 @@ def test_parity_union_find_long_chain():
     root_last, p_last = uf.find(size - 1)
     assert root_first == root_last
     assert (p_first ^ p_last) == (size - 1) % 2
+
+
+# ---------------------------------------------------------------------------
+# exact products
+
+_FACTORS = st.fractions(min_value=0, max_value=12, max_denominator=12)
+
+
+@given(
+    st.one_of(
+        st.lists(_FACTORS, max_size=30),
+        st.builds(
+            lambda pool, length: [pool[i % len(pool)] for i in range(length)],
+            st.lists(_FACTORS, min_size=1, max_size=4),
+            st.integers(0, 10**4),
+        ),
+    )
+)
+@example([])
+@example([F(1)] * 10**4)
+@example([F(2), F(0), F(1, 3)])
+@example([F(3, 2), F(2, 9)] * 5000)
+@example([3, F(1, 6), 1 << 100])
+def test_exact_product_matches_sequential_product(factors):
+    expected = F(1)
+    for factor in factors:
+        expected *= factor
+    assert exact_product(factors) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +141,94 @@ def test_product_type_refusals():
     ternary = _instance(3, 1, {}, [])
     with pytest.raises(Refusal):
         eval_product_type(ternary)
+
+
+# Product-type functions covering pins, plain and complemented ties, unary
+# weights and constant scales.
+_PRODUCT_CATALOG = {
+    "eq": binary_equality(),
+    "neq": binary_disequality(),
+    "d0": delta(0),
+    "d1": delta(1),
+    "lean": unary_weight(F(2, 3)),
+    "half": WeightFunction(1, 2, (F(1, 2), F(1, 2))),
+    "tie": WeightFunction(2, 2, (F(2), F(0), F(0), F(3))),
+    "anti": WeightFunction(2, 2, (F(0), F(5), F(1, 2), F(0))),
+    "skew": WeightFunction(2, 2, (F(1), F(3), F(2), F(6))),
+    "pin_first": WeightFunction(2, 2, (F(0), F(0), F(4), F(7))),
+    "split3": WeightFunction(3, 2, (F(0), F(2), F(0), F(0), F(0), F(0), F(5), F(0))),
+}
+
+
+@st.composite
+def _product_instances(draw):
+    n = draw(st.integers(1, 7))
+    names = sorted(_PRODUCT_CATALOG)
+    constraints = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(names))
+        scope = draw(
+            st.lists(
+                st.integers(0, n - 1),
+                min_size=_PRODUCT_CATALOG[name].arity,
+                max_size=_PRODUCT_CATALOG[name].arity,
+            )
+        )
+        constraints.append((name, scope))
+    return _instance(2, n, _PRODUCT_CATALOG, constraints)
+
+
+@given(_product_instances())
+@example(  # a contradictory parity cycle beside a pinned class and free variables
+    _instance(
+        2,
+        7,
+        _PRODUCT_CATALOG,
+        [("neq", (0, 1)), ("neq", (1, 2)), ("neq", (2, 0)), ("d1", (3,)), ("tie", (3, 4))],
+    )
+)
+@example(  # an even cycle of complemented ties, a pinned side, free variables
+    _instance(
+        2,
+        7,
+        _PRODUCT_CATALOG,
+        [
+            ("anti", (0, 1)),
+            ("neq", (1, 2)),
+            ("anti", (2, 3)),
+            ("neq", (3, 0)),
+            ("pin_first", (0, 4)),
+            ("split3", (4, 5, 1)),
+            ("lean", (5,)),
+        ],
+    )
+)
+def test_product_type_matches_enumeration_on_mixed_structure(instance):
+    assert eval_product_type(instance) == brute_force_z(instance)
+
+
+def _empty(n):
+    return Instance(n, 2, {}, ())
+
+
+@pytest.mark.parametrize(
+    "build, closed_form",
+    [
+        (product_type_chain, lambda n: 2 ** (n - 1) + 3 ** (n - 1) * 2 ** -(-n // 3)),
+        (_empty, lambda n: 2**n),
+    ],
+    ids=["chain", "empty"],
+)
+def test_product_route_is_linear_including_big_integers(build, closed_form):
+    seconds = {}
+    for n in (10**4, 10**5):
+        instance = build(n)
+        started = time.perf_counter()
+        value, route = evaluate(instance)
+        seconds[n] = time.perf_counter() - started
+        assert route == "product-type"
+        assert value == closed_form(n)
+    assert seconds[10**5] <= max(20 * seconds[10**4], 2.0), seconds
 
 
 # ---------------------------------------------------------------------------
