@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import Refusal
+from .gf2 import xor_basis
 from .model import Relation, WeightFunction, index_to_tuple
 
 _ZERO = Fraction(0)
@@ -51,19 +52,9 @@ def is_affine_relation(relation: Relation) -> bool:
     _require_boolean(relation, "affine relation test")
     if not relation.members:
         return True
-    members = sorted(relation.members)
-    origin = members[0]
-    basis: dict[int, int] = {}  # leading bit -> reduced vector
-    for m in members:
-        vec = m ^ origin
-        while vec:
-            high = vec.bit_length() - 1
-            if high in basis:
-                vec ^= basis[high]
-            else:
-                basis[high] = vec
-                break
-    return len(members) == 1 << len(basis)
+    members = relation.members
+    origin = min(members)
+    return len(members) == 1 << len(xor_basis(m ^ origin for m in members))
 
 
 def has_affine_support(fn: WeightFunction) -> bool:
@@ -307,11 +298,15 @@ class Verdict:
 def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
     product_type, witness = is_product_type(fn)
     product_like, ratios = is_product_like(fn)
+    # Pure affine is affine support plus one non-zero level (see is_pure_affine);
+    # the support test is the costly half, so it runs once for both flags.
+    affine_support = has_affine_support(fn)
+    levels = {fn.table[i] for i in fn.support_indices()}
     return FunctionReport(
         name=name,
         product_type=product_type,
-        pure_affine=is_pure_affine(fn),
-        affine_support=has_affine_support(fn),
+        pure_affine=affine_support and len(levels) == 1,
+        affine_support=affine_support,
         product_like=product_like,
         witness=witness,
         slice_ratios=ratios,

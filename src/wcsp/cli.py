@@ -57,6 +57,7 @@ from .reductions import (
     mobius_pinning_reduce,
     parity_chain,
     pinning_reduce_boolean,
+    polynomial_value,
     simulate_projection,
 )
 from .tractable import evaluate
@@ -165,6 +166,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verified(args: argparse.Namespace, what: str, result, oracle) -> bool | None:
+    """The report's ``verified`` field; under ``--verify``, check first.
+
+    ``result`` and ``oracle`` are zero-argument callables, run only under
+    ``--verify``; a mismatch raises ``VerificationFailure`` (exit 4).
+    """
+    if not args.verify:
+        return None
+    got, expected = result(), oracle()
+    if got != expected:
+        raise VerificationFailure(f"{what} differs from the oracle: {got} vs {expected}")
+    _diag(f"verified: {what} matches the enumeration oracle")
+    return True
+
+
 def _dispatcher(budget: int | None):
     def evaluator(instance: Instance) -> Fraction:
         value, _ = evaluate(instance, budget=budget)
@@ -197,17 +213,13 @@ def _cmd_reduce_project(args: argparse.Namespace) -> int:
             f"{args.coordinates!r}"
         ) from None
     transformed = simulate_projection(instance, args.function, preimage, coordinates)
-    verified = None
-    if args.verify:
-        budget = _budget(args)
-        left = brute_force_z(instance, budget)
-        right = brute_force_z(transformed, budget)
-        if left != right:
-            raise VerificationFailure(
-                f"projection simulation changed the value: {left} vs {right}"
-            )
-        verified = True
-        _diag(f"verified: both sides evaluate to {format_rational(left)}")
+    budget = _budget(args)
+    verified = _verified(
+        args,
+        "projection simulation",
+        lambda: brute_force_z(transformed, budget),
+        lambda: brute_force_z(instance, budget),
+    )
     _maybe_write(args, transformed)
     _emit(
         {
@@ -241,17 +253,13 @@ def _cmd_reduce_pin(args: argparse.Namespace) -> int:
         functions,
         instance.constraints + (Constraint(name, (args.variable,)),),
     )
-    verified = None
-    if args.verify:
-        budget = _budget(args)
-        left = conditioned_z(instance, [(args.variable, args.value)], budget)
-        right = brute_force_z(pinned, budget)
-        if left != right:
-            raise VerificationFailure(
-                f"pinning changed the conditioned value: {left} vs {right}"
-            )
-        verified = True
-        _diag(f"verified: pinned value {format_rational(left)}")
+    budget = _budget(args)
+    verified = _verified(
+        args,
+        "pinned value",
+        lambda: brute_force_z(pinned, budget),
+        lambda: conditioned_z(instance, [(args.variable, args.value)], budget),
+    )
     _maybe_write(args, pinned)
     _emit(
         {
@@ -267,15 +275,9 @@ def _cmd_reduce_pin_vars(args: argparse.Namespace) -> int:
     instance = load_instance(args.path)
     budget = _budget(args)
     value = pinning_reduce_boolean(instance, _dispatcher(budget))
-    verified = None
-    if args.verify:
-        expected = brute_force_z(instance, budget)
-        if value != expected:
-            raise VerificationFailure(
-                f"pin elimination differs from the oracle: {value} vs {expected}"
-            )
-        verified = True
-        _diag("verified against the enumeration oracle")
+    verified = _verified(
+        args, "pin elimination", lambda: value, lambda: brute_force_z(instance, budget)
+    )
     _emit({"command": "reduce pin-vars", "verified": verified, **_value_fields(value)})
     return EXIT_OK
 
@@ -287,19 +289,10 @@ def _cmd_reduce_interpolate(args: argparse.Namespace) -> int:
     coefficients = interpolation_polynomial(
         instance, args.unary, point, _dispatcher(budget)
     )
-    target = instance.functions[args.unary].table[1]
-    value = Fraction(0)
-    for coefficient in reversed(coefficients):
-        value = value * target + coefficient
-    verified = None
-    if args.verify:
-        expected = brute_force_z(instance, budget)
-        if value != expected:
-            raise VerificationFailure(
-                f"interpolation differs from the oracle: {value} vs {expected}"
-            )
-        verified = True
-        _diag("verified against the enumeration oracle")
+    value = polynomial_value(coefficients, instance.functions[args.unary].table[1])
+    verified = _verified(
+        args, "interpolation", lambda: value, lambda: brute_force_z(instance, budget)
+    )
     _emit(
         {
             "command": "reduce interpolate",
@@ -315,16 +308,11 @@ def _cmd_reduce_interpolate(args: argparse.Namespace) -> int:
 
 def _cmd_reduce_parity_chain(args: argparse.Namespace) -> int:
     instance = parity_chain(args.width)
-    value, route = evaluate(instance, budget=_budget(args))
-    verified = None
-    if args.verify:
-        expected = brute_force_z(instance, _budget(args))
-        if value != expected:
-            raise VerificationFailure(
-                f"parity chain value differs from the oracle: {value} vs {expected}"
-            )
-        verified = True
-        _diag("verified against the enumeration oracle")
+    budget = _budget(args)
+    value, route = evaluate(instance, budget=budget)
+    verified = _verified(
+        args, "parity chain value", lambda: value, lambda: brute_force_z(instance, budget)
+    )
     _maybe_write(args, instance)
     _emit(
         {
@@ -343,15 +331,9 @@ def _cmd_reduce_mobius_pin(args: argparse.Namespace) -> int:
     instance = load_instance(args.path)
     budget = _budget(args)
     value = mobius_pinning_reduce(instance, _dispatcher(budget))
-    verified = None
-    if args.verify:
-        expected = brute_force_z(instance, budget)
-        if value != expected:
-            raise VerificationFailure(
-                f"lattice inversion differs from the oracle: {value} vs {expected}"
-            )
-        verified = True
-        _diag("verified against the enumeration oracle")
+    verified = _verified(
+        args, "lattice inversion", lambda: value, lambda: brute_force_z(instance, budget)
+    )
     _emit({"command": "reduce mobius-pin", "verified": verified, **_value_fields(value)})
     return EXIT_OK
 

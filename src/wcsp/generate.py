@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError
+from .gf2 import xor_basis
 from .model import Constraint, Instance, WeightFunction
 from .models import Graph, hom_instance, ising_matrix
 
@@ -74,17 +75,10 @@ def random_product_type_function(rng: random.Random, arity: int) -> WeightFuncti
 
 def random_pure_affine_function(rng: random.Random, arity: int) -> WeightFunction:
     """A constant positive weight carried on a random GF(2) coset."""
-    basis: list[int] = []
-    for _ in range(rng.randint(0, arity)):
-        candidate = rng.randrange(1 << arity)
-        residue = candidate
-        for b in basis:
-            residue = min(residue, residue ^ b)
-        if residue:
-            basis.append(residue)
+    basis = xor_basis(rng.randrange(1 << arity) for _ in range(rng.randint(0, arity)))
     origin = rng.randrange(1 << arity)
     members = {origin}
-    for b in basis:
+    for b in basis.values():
         members |= {m ^ b for m in members}
     weight = rng.choice(_POSITIVE_POOL)
     table = [weight if i in members else Fraction(0) for i in range(1 << arity)]

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InputError, Refusal
 from .model import Relation
-from .classify import is_affine_relation
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,28 @@ def count_solutions(system: Gf2System) -> int:
     return 1 << (system.num_variables - len(basis))
 
 
-def _nullspace(vectors: list[int], width: int) -> list[int]:
-    """Basis of ``{a : a . v = 0 for every v}`` for bit-packed row vectors."""
-    echelon: dict[int, int] = {}
+def xor_basis(vectors: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the GF(2) span of bit-packed vectors.
+
+    Maps each basis vector's leading bit to the vector, reduced against the
+    vectors inserted before it.  Zero and dependent vectors add nothing, so
+    the span has exactly ``2**len(basis)`` members.
+    """
+    basis: dict[int, int] = {}
     for vec in vectors:
         while vec:
             high = vec.bit_length() - 1
-            if high in echelon:
-                vec ^= echelon[high]
+            if high in basis:
+                vec ^= basis[high]
             else:
-                echelon[high] = vec
+                basis[high] = vec
                 break
+    return basis
+
+
+def _nullspace(vectors: Iterable[int], width: int) -> list[int]:
+    """Basis of ``{a : a . v = 0 for every v}`` for bit-packed row vectors."""
+    echelon = xor_basis(vectors)
     # Back-substitute to a fully reduced form: each pivot bit appears in
     # exactly one retained vector.
     for high in sorted(echelon, reverse=True):
@@ -86,8 +97,6 @@ def affine_system_of(relation: Relation) -> Gf2System:
     """
     if relation.domain_size != 2:
         raise Refusal("affine systems are only defined for domain size 2")
-    if not is_affine_relation(relation):
-        raise InputError("relation is not affine; no linear system represents it")
     k = relation.arity
     if not relation.members:
         return Gf2System(k, ((0, 1),))
@@ -100,21 +109,11 @@ def affine_system_of(relation: Relation) -> Gf2System:
             mask |= value << i
         points.append(mask)
     origin = points[0]
-    span = _span_basis(p ^ origin for p in points)
+    span = xor_basis(p ^ origin for p in points)
+    # A coset of the span has 2**rank members; anything else is not affine.
+    if len(points) != 1 << len(span):
+        raise InputError("relation is not affine; no linear system represents it")
     rows = tuple(
-        (a, bin(a & origin).count("1") % 2) for a in _nullspace(span, k)
+        (a, bin(a & origin).count("1") % 2) for a in _nullspace(span.values(), k)
     )
     return Gf2System(k, rows)
-
-
-def _span_basis(vectors) -> list[int]:
-    basis: dict[int, int] = {}
-    for vec in vectors:
-        while vec:
-            high = vec.bit_length() - 1
-            if high in basis:
-                vec ^= basis[high]
-            else:
-                basis[high] = vec
-                break
-    return list(basis.values())

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, Refusal
 
@@ -31,6 +31,7 @@ DEFAULT_BUDGET = 2**30
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +268,6 @@ class Instance:
                 if not 0 <= v < self.num_variables:
                     raise InputError(f"constraints[{pos}]: variable {v} out of range")
 
-    def weight(self, assignment: Sequence[int]) -> Fraction:
-        """Product of constraint values at one full assignment."""
-        if len(assignment) != self.num_variables:
-            raise InputError(
-                f"assignment has {len(assignment)} values, instance has "
-                f"{self.num_variables} variables"
-            )
-        for v in assignment:
-            if not 0 <= v < self.domain_size:
-                raise InputError(f"assignment value {v} outside domain")
-        result = _ONE
-        for c in self.constraints:
-            value = self.functions[c.function].lookup([assignment[v] for v in c.scope])
-            if not value:
-                return _ZERO
-            result *= value
-        return result
-
 
 def brute_force_z(instance: Instance, budget: int | None = None) -> Fraction:
     """Partition function by exhaustive enumeration -- the ground-truth oracle.
@@ -292,29 +275,7 @@ def brute_force_z(instance: Instance, budget: int | None = None) -> Fraction:
     Refuses when ``q**n`` exceeds the budget; the result is exact and
     deterministic.
     """
-    limit = DEFAULT_BUDGET if budget is None else budget
-    q, n = instance.domain_size, instance.num_variables
-    states = q**n
-    if states > limit:
-        raise Refusal(
-            f"enumeration of {q}**{n} weighted states exceeds the budget of {limit}"
-        )
-    specs = [(instance.functions[c.function].table, c.scope) for c in instance.constraints]
-    total = _ZERO
-    for sigma in product(range(q), repeat=n):
-        w = _ONE
-        for table, scope in specs:
-            index = 0
-            for v in scope:
-                index = index * q + sigma[v]
-            value = table[index]
-            if not value:
-                w = _ZERO
-                break
-            if value != 1:
-                w = w * value
-        total += w
-    return total
+    return conditioned_z(instance, (), budget)
 
 
 def conditioned_z(
@@ -325,7 +286,8 @@ def conditioned_z(
     """Partition function with some variables held fixed.
 
     ``pins`` is a sequence of ``(variable, value)`` pairs over distinct
-    variables; only the free variables are enumerated.
+    variables; only the free variables are enumerated, and only they count
+    against the budget.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     q, n = instance.domain_size, instance.num_variables
@@ -338,19 +300,27 @@ def conditioned_z(
         if var in fixed:
             raise InputError(f"variable {var} pinned more than once")
         fixed[var] = value
-    free = [v for v in range(n) if v not in fixed]
-    if q ** len(free) > limit:
+    free = n - len(fixed)
+    if q**free > limit:
         raise Refusal(
-            f"enumeration of {q}**{len(free)} weighted states exceeds the budget of {limit}"
+            f"enumeration of {q}**{free} weighted states exceeds the budget of {limit}"
         )
-    sigma = [0] * n
-    for var, value in fixed.items():
-        sigma[var] = value
+    domains = [(fixed[v],) if v in fixed else range(q) for v in range(n)]
+    specs = [(instance.functions[c.function].table, c.scope) for c in instance.constraints]
     total = _ZERO
-    for choice in product(range(q), repeat=len(free)):
-        for var, value in zip(free, choice):
-            sigma[var] = value
-        total += instance.weight(sigma)
+    for sigma in product(*domains):
+        w = _ONE
+        for table, scope in specs:
+            index = 0
+            for v in scope:
+                index = index * q + sigma[v]
+            value = table[index]
+            if not value:
+                w = _ZERO
+                break
+            if value != 1:
+                w = w * value
+        total += w
     return total
 
 
@@ -465,32 +435,47 @@ def instance_from_obj(obj: object) -> Instance:
     return Instance(n, q, catalog, tuple(constraints))
 
 
-def parse_instance(text: str) -> Instance:
+def decode_json(text: str) -> object:
+    """``json.loads`` with every decode failure raised as an ``InputError``.
+
+    Besides malformed text, ``json.loads`` raises a bare ``ValueError`` for an
+    integer literal beyond the interpreter's digit limit and a
+    ``RecursionError`` for very deep nesting.
+    """
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return instance_from_obj(obj)
+        raise InputError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
 
 
-def load_instance(path: str) -> Instance:
+def parse_instance(text: str) -> Instance:
+    return instance_from_obj(decode_json(text))
+
+
+def load_file(path: str, parse: Callable[[str], _T]) -> _T:
+    """Read a UTF-8 file and parse its text, naming the path in any error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_instance(text)
+        return parse(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def load_instance(path: str) -> Instance:
+    return load_file(path, parse_instance)
+
+
 def parse_catalog(text: str) -> tuple[int, dict[str, WeightFunction]]:
     """Parse either a full instance or a bare ``{"q":..,"functions":..}`` file."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    obj = decode_json(text)
     if not isinstance(obj, dict):
         raise InputError("catalog: expected a JSON object")
     if "constraints" in obj or "n" in obj:
@@ -506,12 +491,4 @@ def parse_catalog(text: str) -> tuple[int, dict[str, WeightFunction]]:
 
 
 def load_catalog(path: str) -> tuple[int, dict[str, WeightFunction]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_catalog(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return load_file(path, parse_catalog)

@@ -10,19 +10,21 @@ cut-space code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, Refusal
+from .gf2 import xor_basis
 from .model import (
     DEFAULT_BUDGET,
     Constraint,
     Instance,
     WeightFunction,
     brute_force_z,
+    decode_json,
+    load_file,
     parse_rational,
 )
 from .tractable import evaluate
@@ -176,27 +178,34 @@ def eval_graph_hom(
 # exact rank and the component criterion
 # ---------------------------------------------------------------------------
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix by fraction-preserving elimination."""
+def row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by exact Gauss-Jordan elimination.
+
+    Returns the reduced rows and the pivot columns: row ``i`` of the result
+    has a 1 in column ``pivots[i]`` and every other row a 0 there.
+    """
     work = [list(row) for row in rows]
-    if not work:
-        return 0
-    num_cols = len(work[0])
-    rank = 0
-    for col in range(num_cols):
-        pivot = next(
-            (r for r in range(rank, len(work)) if work[r][col]), None
-        )
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pivot_row = work[rank]
+        lead = work[pivot][col]
+        pivot_row = [a / lead for a in work[pivot]]
+        work[pivot] = work[rank]
+        work[rank] = pivot_row
         for r in range(len(work)):
             if r != rank and work[r][col]:
-                ratio = work[r][col] / pivot_row[col]
+                ratio = work[r][col]
                 work[r] = [a - ratio * b for a, b in zip(work[r], pivot_row)]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return work, pivots
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank of a rational matrix."""
+    return len(row_reduce(rows)[1])
 
 
 class HomTractability(Enum):
@@ -289,14 +298,8 @@ class GeneratorMatrix:
         for i, row in enumerate(self.rows):
             if not 0 <= row < (1 << self.length):
                 raise InputError(f"generator row {i} outside length {self.length}")
-        basis: list[int] = []
-        for i, row in enumerate(self.rows):
-            residue = row
-            for b in basis:
-                residue = min(residue, residue ^ b)
-            if residue == 0:
-                raise InputError(f"generator rows are linearly dependent (row {i})")
-            basis.append(residue)
+        if len(xor_basis(self.rows)) < len(self.rows):
+            raise InputError("generator rows are linearly dependent")
 
     @staticmethod
     def from_bits(rows: Sequence[Sequence[int]]) -> "GeneratorMatrix":
@@ -404,10 +407,7 @@ def parse_graph(text: str) -> Graph:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON graph: {exc}") from exc
+        obj = decode_json(text)
         if not isinstance(obj, dict):
             raise InputError("JSON graph must be an object")
         unknown = set(obj) - {"vertices", "edges"}
@@ -446,16 +446,12 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    return load_file(path, parse_graph)
 
 
 def parse_target_matrix(text: str) -> TargetMatrix:
     """Target matrix from a JSON array of rows of rationals (ints or "a/b")."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON matrix: {exc}") from exc
+    obj = decode_json(text)
     if isinstance(obj, dict):
         unknown = set(obj) - {"entries"}
         if unknown:
@@ -470,8 +466,7 @@ def parse_target_matrix(text: str) -> TargetMatrix:
 
 
 def load_target_matrix(path: str) -> TargetMatrix:
-    with open(path, encoding="utf-8") as handle:
-        return parse_target_matrix(handle.read())
+    return load_file(path, parse_target_matrix)
 
 
 def parse_generator(text: str) -> GeneratorMatrix:
@@ -493,5 +488,4 @@ def parse_generator(text: str) -> GeneratorMatrix:
 
 
 def load_generator(path: str) -> GeneratorMatrix:
-    with open(path, encoding="utf-8") as handle:
-        return parse_generator(handle.read())
+    return load_file(path, parse_generator)

@@ -31,6 +31,7 @@ from .model import (
     WeightFunction,
     index_to_tuple,
 )
+from .models import row_reduce
 
 Evaluator = Callable[[Instance], Fraction]
 
@@ -275,15 +276,10 @@ def _solve_vandermonde(points: list[Fraction], values: list[Fraction]) -> list[F
     """Exact coefficients of the polynomial through (points[i], values[i])."""
     size = len(points)
     rows = [[p**d for d in range(size)] + [values[i]] for i, p in enumerate(points)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pivot_row = rows[col]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                ratio = rows[r][col] / pivot_row[col]
-                rows[r] = [a - ratio * b for a, b in zip(rows[r], pivot_row)]
-    return [rows[d][size] / rows[d][d] for d in range(size)]
+    reduced, pivots = row_reduce(rows)
+    if pivots != list(range(size)):
+        raise InvariantViolation("interpolation points are not distinct")
+    return [row[size] for row in reduced]
 
 
 def interpolation_polynomial(
@@ -339,10 +335,14 @@ def interpolation_reduce(
 ) -> Fraction:
     """Exact partition value recovered by interpolation in the unary weight."""
     coefficients = interpolation_polynomial(instance, unary_name, point, evaluator)
-    target = instance.functions[unary_name].table[1]
+    return polynomial_value(coefficients, instance.functions[unary_name].table[1])
+
+
+def polynomial_value(coefficients: Sequence[Fraction], x: Fraction) -> Fraction:
+    """The polynomial with the given coefficients, lowest degree first, at ``x``."""
     result = _ZERO
     for coefficient in reversed(coefficients):
-        result = result * target + coefficient
+        result = result * x + coefficient
     return result
 
 

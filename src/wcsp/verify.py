@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .generate import random_connected_graph, random_instance
-from .model import DEFAULT_BUDGET, Constraint, Instance, brute_force_z
+from .model import Constraint, Instance, brute_force_z
 from .models import verify_cut_identity
 from .reductions import (
     interpolation_reduce,
@@ -181,11 +181,8 @@ def check_cut_identity(seed: int, trials: int = 20) -> list[CheckResult]:
     return results
 
 
-def run_suite(
-    suite: str, seed: int = 0, budget: int = DEFAULT_BUDGET
-) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or ``all``); unknown names raise ``ValueError``."""
-    del budget  # the suites stay well inside the default enumeration budget
     if suite == "oracle":
         return check_oracle_equivalence(seed)
     if suite == "reductions":

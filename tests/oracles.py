@@ -147,6 +147,14 @@ def affine_by_closure(members, arity: int) -> bool:
     return True
 
 
+def span_closure(vectors) -> set[int]:
+    """Every XOR of a subset of the vectors: {0} closed under each vector."""
+    span = {0}
+    for vector in vectors:
+        span |= {member ^ vector for member in span}
+    return span
+
+
 def pure_affine_direct(table) -> bool:
     """Single positive value on a triple-XOR-closed non-empty support."""
     values = [Fraction(v) for v in table]

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import gf2_count_direct
+from oracles import gf2_count_direct, span_closure
 
 from wcsp.errors import InputError, Refusal
-from wcsp.gf2 import Gf2System, affine_system_of, count_solutions
+from wcsp.gf2 import Gf2System, affine_system_of, count_solutions, xor_basis
 from wcsp.model import Relation, tuple_to_index
 
 
@@ -45,6 +45,15 @@ def test_count_matches_direct_enumeration(num_variables, data):
     )
     system = Gf2System(num_variables, tuple(rows))
     assert count_solutions(system) == gf2_count_direct(num_variables, rows)
+
+
+@given(st.lists(st.integers(0, (1 << 7) - 1), max_size=10))
+def test_xor_basis_rank_is_the_log_of_the_span(vectors):
+    basis = xor_basis(vectors)
+    span = span_closure(vectors)
+    assert 1 << len(basis) == len(span)
+    assert span_closure(basis.values()) == span
+    assert all(vector.bit_length() - 1 == high for high, vector in basis.items())
 
 
 # ---------------------------------------------------------------------------

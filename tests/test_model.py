@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import decimal_digits
 
 from wcsp.errors import InputError, Refusal
+from wcsp.generate import PROFILES, random_instance
 from wcsp.library import resolve_builtin
 from wcsp.model import (
     Constraint,
@@ -27,6 +28,7 @@ from wcsp.model import (
     parse_rational,
     tuple_to_index,
 )
+from wcsp.tractable import evaluate
 
 F = Fraction
 
@@ -220,6 +222,48 @@ def test_conditioned_matches_brute_force_with_pin_constraints():
         [("xor3", (0, 1, 2)), ("delta1", (2,))],
     )
     assert conditioned_z(inst, [(2, 1)]) == brute_force_z(pinned) == 2
+
+
+def _with_pin_constraints(inst, pins):
+    """The instance plus one ``delta<value>`` constraint per pinned variable."""
+    functions = dict(
+        inst.functions,
+        delta0=resolve_builtin("delta0"),
+        delta1=resolve_builtin("delta1"),
+    )
+    extra = tuple(Constraint(f"delta{value}", (var,)) for var, value in pins)
+    return Instance(inst.num_variables, 2, functions, inst.constraints + extra)
+
+
+@given(
+    st.sampled_from([p for p in PROFILES if p != "graph-hom"]),
+    st.integers(0, 10**6),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_conditioned_z_equals_enumeration_with_pin_constraints(profile, seed, n, data):
+    inst = random_instance(profile, seed, n, 6)
+    variables = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    pins = [(var, data.draw(st.integers(0, 1))) for var in variables]
+    assert conditioned_z(inst, pins) == brute_force_z(_with_pin_constraints(inst, pins))
+
+
+@pytest.mark.parametrize("free", [0, 3, 8])
+def test_conditioned_z_budgets_only_the_free_variables(free):
+    # 40 variables: weighted unaries everywhere, disequalities on even pairs.
+    lean = WeightFunction.from_values(1, [1, 2])
+    constraints = [("lean", (v,)) for v in range(40)]
+    constraints += [("neq", (v, v + 1)) for v in range(0, 40, 2)]
+    inst = _instance(2, 40, {"lean": lean, "neq": resolve_builtin("neq")}, constraints)
+    pins = [(v, v % 2) for v in range(40 - free)]
+    pinned = _with_pin_constraints(inst, pins)
+    expected, route = evaluate(pinned)  # the product-type route, no enumeration
+    assert route == "product-type" and expected > 0
+    assert conditioned_z(inst, pins, budget=2**free) == expected
+    with pytest.raises(Refusal):
+        conditioned_z(inst, pins, budget=2**free - 1)
+    with pytest.raises(Refusal):
+        brute_force_z(pinned, budget=2**free)
 
 
 # ---------------------------------------------------------------------------
