@@ -13,9 +13,10 @@ produced by :func:`is_product_type`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import Refusal
@@ -313,13 +314,26 @@ def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
     )
 
 
+@lru_cache(maxsize=8)
+def _table_report(fn: WeightFunction) -> FunctionReport:
+    """The report of one table (arity, domain size and entries), unnamed.
+
+    Reductions call the evaluator several times on one catalog, and each call
+    classifies it; the few most recent tables cover such a catalog, and the
+    bound keeps large tables from piling up over many of them.
+    """
+    return classify_function("", fn)
+
+
 def classify_family(functions: Mapping[str, WeightFunction]) -> Verdict:
     """Classify a catalog: product-type family, pure-affine family, or hard.
 
     When every function satisfies both tractable conditions the product-type
     verdict is preferred.
     """
-    reports = {name: classify_function(name, fn) for name, fn in functions.items()}
+    reports = {
+        name: replace(_table_report(fn), name=name) for name, fn in functions.items()
+    }
     if all(r.product_type for r in reports.values()):
         return Verdict(FamilyVerdict.PRODUCT_TYPE_FP, reports, None)
     if all(r.pure_affine for r in reports.values()):

@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout, human diagnostics to stderr.  Exit
 codes: 0 success, 2 input error, 3 refusal, 4 verification failure.  The
-enumeration budget comes from ``--budget`` or the ``WCSP_BUDGET`` environment
-variable.
+budget comes from ``--budget`` or the ``WCSP_BUDGET`` environment variable.
+It bounds the largest table of bucket elimination on the hard route, and the
+states the enumeration oracle may visit.
 """
 
 from __future__ import annotations
@@ -468,7 +469,7 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=None,
-        help="maximum number of weighted states the oracle may enumerate",
+        help="largest elimination table, or most states the oracle may enumerate",
     )
 
 

@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, Refusal
 
-#: Default ceiling on the number of weighted states an enumeration may visit.
+#: Default ceiling on the number of weighted states an enumeration may visit,
+#: and on the entries of the largest table of bucket elimination.
 DEFAULT_BUDGET = 2**30
 
 _ZERO = Fraction(0)
@@ -286,8 +287,9 @@ def conditioned_z(
     """Partition function with some variables held fixed.
 
     ``pins`` is a sequence of ``(variable, value)`` pairs over distinct
-    variables; only the free variables are enumerated, and only they count
-    against the budget.
+    variables.  Every free variable counts against the budget, but only those
+    that some constraint touches are enumerated; each of the others
+    multiplies the sum by ``q``.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     q, n = instance.domain_size, instance.num_variables
@@ -305,8 +307,14 @@ def conditioned_z(
         raise Refusal(
             f"enumeration of {q}**{free} weighted states exceeds the budget of {limit}"
         )
-    domains = [(fixed[v],) if v in fixed else range(q) for v in range(n)]
-    specs = [(instance.functions[c.function].table, c.scope) for c in instance.constraints]
+    touched = sorted({v for c in instance.constraints for v in c.scope})
+    at = {v: i for i, v in enumerate(touched)}
+    domains = [(fixed[v],) if v in fixed else range(q) for v in touched]
+    specs = [
+        (instance.functions[c.function].table, [at[v] for v in c.scope])
+        for c in instance.constraints
+    ]
+    untouched = free - sum(1 for v in touched if v not in fixed)
     total = _ZERO
     for sigma in product(*domains):
         w = _ONE
@@ -321,7 +329,7 @@ def conditioned_z(
             if value != 1:
                 w = w * value
         total += w
-    return total
+    return total * q**untouched
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .model import (
     Constraint,
     Instance,
     WeightFunction,
-    brute_force_z,
     decode_json,
     load_file,
     parse_rational,
@@ -167,11 +166,8 @@ def eval_graph_hom(
     graph: Graph, matrix: TargetMatrix, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Weighted homomorphism count from the graph into the target matrix."""
-    instance = hom_instance(graph, matrix)
-    if matrix.size == 2:
-        value, _ = evaluate(instance, budget=budget)
-        return value
-    return brute_force_z(instance, budget=budget)
+    value, _ = evaluate(hom_instance(graph, matrix), budget=budget)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Polynomial-time evaluators for the two tractable families.
+"""Exact evaluators: two polynomial-time ones and a budgeted fallback.
 
 Product-type instances reduce to parity-tagged variable classes: every
 constraint contributes unary weight pairs and equality/complement ties, so the
 partition function is a product of per-class sums.  Pure-affine instances
-reduce to a weight product times a GF(2) solution count.
+reduce to a weight product times a GF(2) solution count.  Every other family
+is #P-hard; it is evaluated by exact bucket elimination, whose cost is set by
+the width of the constraint graph rather than by the number of variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import product
+from math import lcm
 
 from .classify import (
     FamilyVerdict,
@@ -20,7 +25,7 @@ from .classify import (
 )
 from .errors import Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions
-from .model import Instance, brute_force_z
+from .model import DEFAULT_BUDGET, Instance, brute_force_z, tuple_to_index
 
 _ZERO = Fraction(0)
 
@@ -164,23 +169,28 @@ def eval_product_type(
     return exact_product([*scales, *totals, 1 << free])
 
 
-def eval_pure_affine(instance: Instance) -> Fraction:
+def eval_pure_affine(instance: Instance, classified: bool = False) -> Fraction:
     """Exact partition function of an all-pure-affine instance.
 
     The value is the product of each constraint's non-zero level times the
-    GF(2) solution count of the accumulated support systems.
+    GF(2) solution count of the accumulated support systems.  Every catalog
+    function is checked first, unless the caller has already classified the
+    used ones as pure affine (``classified``).
     """
     if instance.domain_size != 2:
         raise Refusal("the pure-affine evaluator handles domain size 2 only")
+    if not classified:
+        for name, fn in instance.functions.items():
+            if not is_pure_affine(fn):
+                raise Refusal(
+                    f"function {name!r} is not pure affine; "
+                    "evaluate with the brute-force oracle instead"
+                )
     levels: dict[str, Fraction] = {}
     systems: dict[str, Gf2System] = {}
-    for name, fn in instance.functions.items():
-        if not is_pure_affine(fn):
-            raise Refusal(
-                f"function {name!r} is not pure affine; "
-                "evaluate with the brute-force oracle instead"
-            )
-        levels[name] = fn.table[fn.support_indices()[0]]
+    for name in {c.function for c in instance.constraints}:
+        fn = instance.functions[name]
+        levels[name] = next(value for value in fn.table if value)
         systems[name] = affine_system_of(underlying_relation(fn))
 
     rows: list[tuple[int, int]] = []
@@ -196,22 +206,110 @@ def eval_pure_affine(instance: Instance) -> Fraction:
     return exact_product([*(levels[c.function] for c in instance.constraints), count])
 
 
+def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
+    """Exact partition function of any instance by bucket elimination.
+
+    Each constraint becomes a factor over its distinct variables (a repeated
+    variable is read through the table index), scaled to integers by the
+    common denominator of its table.  Variables are summed out in min-degree
+    order (Dechter, "Bucket elimination", 1999): eliminating one multiplies
+    the factors that mention it into a table over it and its current
+    neighbours.  The order, and so the largest such table, ``q**(width + 1)``
+    entries, is fixed before any table is built, and the budget bounds that
+    table.  Variables that no constraint touches contribute ``q`` each.
+    """
+    limit = DEFAULT_BUDGET if budget is None else budget
+    q = instance.domain_size
+    scopes = [tuple(dict.fromkeys(c.scope)) for c in instance.constraints]
+    neighbours: dict[int, set[int]] = {}
+    for scope in scopes:
+        for v in scope:
+            neighbours.setdefault(v, set()).update(u for u in scope if u != v)
+    numerators = [q ** (instance.num_variables - len(neighbours))]
+    heap = [(len(adjacent), v) for v, adjacent in neighbours.items()]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        degree, v = heappop(heap)
+        if v not in neighbours or degree != len(neighbours[v]):
+            continue  # eliminated already, or its degree changed since the push
+        if q ** (degree + 1) > limit:
+            raise Refusal(
+                f"bucket elimination reaches width {degree}: its table of "
+                f"{q}**{degree + 1} entries exceeds the budget of {limit}"
+            )
+        adjacent = neighbours.pop(v)
+        for u in adjacent:
+            neighbours[u] |= adjacent
+            neighbours[u] -= {u, v}
+            heappush(heap, (len(neighbours[u]), u))
+        order.append(v)
+
+    position = {v: i for i, v in enumerate(order)}
+    buckets: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in order]
+    denominators: list[int] = []
+
+    def place(scope: tuple[int, ...], table: list[int]) -> None:
+        if scope:
+            buckets[min(position[v] for v in scope)].append((scope, table))
+        else:
+            numerators.append(table[0])
+
+    for c, scope in zip(instance.constraints, scopes):
+        table = instance.functions[c.function].table
+        if len(scope) < len(c.scope):
+            slots = [scope.index(v) for v in c.scope]
+            table = tuple(
+                table[tuple_to_index([point[s] for s in slots], q)]
+                for point in product(range(q), repeat=len(scope))
+            )
+        denominator = lcm(*(x.denominator for x in table))
+        denominators.append(denominator)
+        place(scope, [x.numerator * (denominator // x.denominator) for x in table])
+
+    for v, bucket in zip(order, buckets):
+        # v is the last, least significant, coordinate of the bucket's table,
+        # so summing it out adds runs of q consecutive entries.
+        frame = (*dict.fromkeys(u for scope, _ in bucket for u in scope if u != v), v)
+        at = {u: i for i, u in enumerate(frame)}
+        strides = [
+            [(at[u], q ** (len(scope) - 1 - j)) for j, u in enumerate(scope)]
+            for scope, _ in bucket
+        ]
+        values = []
+        for point in product(range(q), repeat=len(frame)):
+            weight = 1
+            for (_, table), stride in zip(bucket, strides):
+                weight *= table[sum(point[i] * step for i, step in stride)]
+            values.append(weight)
+        place(frame[:-1], [sum(values[i : i + q]) for i in range(0, len(values), q)])
+    return Fraction(_tree_product(numerators), _tree_product(denominators))
+
+
 def evaluate(
     instance: Instance, budget: int | None = None, force_oracle: bool = False
 ) -> tuple[Fraction, str]:
     """Evaluate by the classification-selected route.
 
     Returns the value and the evaluator used: ``product-type``,
-    ``pure-affine``, or ``brute-force``.  Hard families fall back to the
-    enumeration oracle, which refuses beyond its budget.
+    ``pure-affine`` or ``elimination``, or ``brute-force`` when
+    ``force_oracle`` asks for the enumeration oracle.  Only the functions that
+    some constraint uses are classified.  Hard families, and domains other
+    than {0, 1}, go to bucket elimination, which refuses when its largest
+    table exceeds the budget; the oracle refuses beyond ``q**n`` states.
     """
-    if not force_oracle and instance.domain_size == 2:
-        verdict = classify_family(instance.functions)
+    if force_oracle:
+        return brute_force_z(instance, budget), "brute-force"
+    if instance.domain_size == 2:
+        used = {c.function for c in instance.constraints}
+        verdict = classify_family(
+            {name: fn for name, fn in instance.functions.items() if name in used}
+        )
         if verdict.family is FamilyVerdict.PRODUCT_TYPE_FP:
             witnesses = {
                 name: report.witness for name, report in verdict.per_function.items()
             }
             return eval_product_type(instance, witnesses), "product-type"
         if verdict.family is FamilyVerdict.PURE_AFFINE_FP:
-            return eval_pure_affine(instance), "pure-affine"
-    return brute_force_z(instance, budget), "brute-force"
+            return eval_pure_affine(instance, classified=True), "pure-affine"
+    return eval_elimination(instance, budget), "elimination"

@@ -181,6 +181,19 @@ def gf2_count_direct(num_variables: int, rows) -> int:
     return count
 
 
+def partition_function_direct(instance) -> Fraction:
+    """Sum over every assignment of the product of the constraint values."""
+    q, n = instance.domain_size, instance.num_variables
+    total = _ZERO
+    for sigma in product(range(q), repeat=n):
+        weight = _ONE
+        for constraint in instance.constraints:
+            fn = instance.functions[constraint.function]
+            weight *= fn.lookup(tuple(sigma[v] for v in constraint.scope))
+        total += weight
+    return total
+
+
 def distinct_filtered_z(instance, diseq_position: int) -> Fraction:
     """Enumerate assignments, filtering on distinctness instead of weighting."""
     q, n = instance.domain_size, instance.num_variables

@@ -18,6 +18,7 @@ from oracles import (
     pure_affine_direct,
 )
 
+import wcsp.classify as classify
 from wcsp.classify import (
     FamilyVerdict,
     classify_family,
@@ -40,7 +41,9 @@ from wcsp.library import (
     scale_function,
     unary_weight,
 )
-from wcsp.model import Relation, WeightFunction
+from wcsp.model import Constraint, Instance, Relation, WeightFunction, brute_force_z
+from wcsp.reductions import pinning_reduce_boolean
+from wcsp.tractable import evaluate
 
 F = Fraction
 
@@ -267,3 +270,41 @@ def test_classify_function_report_fields():
     assert report.affine_support  # full support is affine
     assert report.slice_ratios == {0: F(1, 2), 1: F(1, 3)}
     assert reconstruct_product_table(report.witness) == fn(2, 1, 3, 2, 6).table
+
+
+def test_a_reduction_classifies_each_table_once(monkeypatch):
+    classified = []
+
+    def counting(name, function):
+        classified.append(function)
+        return classify_function(name, function)
+
+    classify._table_report.cache_clear()
+    monkeypatch.setattr(classify, "classify_function", counting)
+    k = 10
+    # product type, 2**(number of ones): not flip-symmetric, so pin
+    # elimination makes four evaluator calls
+    big = WeightFunction(k, 2, tuple(F(2 ** bin(i).count("1")) for i in range(1 << k)))
+    functions = {"big": big, "eq": binary_equality(), "delta0": delta(0), "delta1": delta(1)}
+    constraints = (
+        Constraint("big", tuple(range(k))),
+        Constraint("eq", (k, 1)),
+        Constraint("delta0", (0,)),
+        Constraint("delta1", (k,)),
+    )
+    instance = Instance(k + 1, 2, functions, constraints)
+    calls = []
+
+    def evaluator(inst):
+        value, route = evaluate(inst)
+        calls.append(route)
+        return value
+
+    assert pinning_reduce_boolean(instance, evaluator) == brute_force_z(instance)
+    assert calls == ["product-type"] * 4
+    assert sum(1 for function in classified if function == big) == 1
+
+    for weight in range(1, 40):
+        classify_family({"u": unary_weight(F(weight))})
+    info = classify._table_report.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 16

@@ -6,12 +6,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import decimal_digits
+from oracles import decimal_digits, ising_direct
 
 import wcsp.cli as cli
 from wcsp.generate import product_type_chain
-from wcsp.library import delta
-from wcsp.model import instance_to_json, parse_instance
+from wcsp.library import binary_disequality, delta
+from wcsp.model import Constraint, Instance, WeightFunction, instance_to_json, parse_instance
+from wcsp.models import Graph, hom_instance, ising_matrix
 
 XOR3_INSTANCE = (
     '{"q":2,"n":3,"functions":{"xor3":{"arity":3,'
@@ -154,6 +155,55 @@ def test_eval_rejects_domain_size_below_two(tmp_path, capsys, q):
     code, report, err = run(capsys, "eval", path)
     assert code == 2 and report is None
     assert f"domain size must be at least 2, got {q}" in err
+
+
+def _neq_path(length, offset, functions, constraints=()):
+    """neq ties along offset..offset+length-1, weighted (1, 2) at the start
+    and (3, 1) one step later; of the two alternating assignments one weighs
+    1 * 1 and the other 2 * 3, so the path contributes 7."""
+    functions = {
+        **functions,
+        "neq": binary_disequality(),
+        "a": WeightFunction(1, 2, (Fraction(1), Fraction(2))),
+        "b": WeightFunction(1, 2, (Fraction(3), Fraction(1))),
+    }
+    constraints = [*constraints, Constraint("a", (offset,)), Constraint("b", (offset + 1,))]
+    constraints += [Constraint("neq", (offset + v, offset + v + 1)) for v in range(length - 1)]
+    return Instance(offset + length, 2, functions, tuple(constraints))
+
+
+def test_eval_routes_on_the_functions_constraints_use(tmp_path, capsys):
+    spin = ising_matrix(Fraction(3)).edge_function()  # hard, and used by no constraint
+    path = write(tmp_path, "path.json", instance_to_json(_neq_path(40, 0, {"spin": spin})))
+    code, report, _ = run(capsys, "eval", path)
+    assert code == 0
+    assert (report["evaluator"], report["value"]) == ("product-type", "7")
+
+
+def test_eval_hard_block_beside_a_long_path_is_eliminated(tmp_path, capsys):
+    lam = Fraction(2, 3)
+    block = Graph.from_edges(
+        8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 4), (2, 6), (1, 5)]
+    )
+    spin = tuple(Constraint("spin", edge) for edge in block.edges)
+    functions = {"spin": ising_matrix(lam).edge_function()}
+    instance = _neq_path(30, 8, functions, spin)  # 38 variables, 2**38 states
+    path = write(tmp_path, "block.json", instance_to_json(instance))
+    code, report, _ = run(capsys, "eval", path)
+    assert code == 0 and report["evaluator"] == "elimination"
+    assert Fraction(report["value"]) == ising_direct(block, lam) * 7
+
+
+def test_eval_refuses_a_wide_hard_instance_naming_the_width(tmp_path, capsys):
+    complete = Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+    instance = hom_instance(complete, ising_matrix(Fraction(2)))
+    path = write(tmp_path, "k12.json", instance_to_json(instance))
+    code, report, err = run(capsys, "eval", path, "--budget", "4095")
+    assert code == 3 and report is None
+    assert "width 11" in err and "2**12 entries" in err and "budget of 4095" in err
+    code, report, _ = run(capsys, "eval", path, "--budget", "4096")
+    assert code == 0 and report["evaluator"] == "elimination"
+    assert Fraction(report["value"]) == ising_direct(complete, Fraction(2))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,21 @@ def test_unconstrained_variable_multiplies_by_q(extra):
     assert brute_force_z(padded) == brute_force_z(base) * 2**extra
 
 
+@given(st.sampled_from([2, 3]), st.integers(0, 12), st.data())
+def test_padding_with_free_variables_multiplies_by_q_per_variable(q, extra, data):
+    n = data.draw(st.integers(1, 4))
+    entries = st.sampled_from([F(0), F(1), F(2), F(1, 3)])
+    table = tuple(data.draw(st.lists(entries, min_size=q * q, max_size=q * q)))
+    variable = st.integers(0, n - 1)
+    scopes = data.draw(st.lists(st.tuples(variable, variable), max_size=5))
+    functions = {"g": WeightFunction(2, q, table)}
+    constraints = [("g", scope) for scope in scopes]
+    base = _instance(q, n, functions, constraints)
+    padded = _instance(q, n + extra, functions, constraints)
+    # 3**12 states for the padded instance alone would take seconds to enumerate
+    assert brute_force_z(padded) == brute_force_z(base) * q**extra
+
+
 @given(st.integers(0, 5), st.integers(1, 20))
 def test_scaling_one_function_scales_z_per_use(uses, k):
     xor3 = resolve_builtin("xor3")

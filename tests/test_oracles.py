@@ -14,12 +14,14 @@ from oracles import (
     enumerate_affine_supports,
     gf2_count_direct,
     ising_direct,
+    partition_function_direct,
     product_type_by_decomposition,
     pure_affine_direct,
     rank1_hom_value,
     weight_enum_direct,
 )
 
+from wcsp.model import Constraint, Instance, WeightFunction
 from wcsp.models import GeneratorMatrix, Graph, TargetMatrix
 
 F = Fraction
@@ -78,6 +80,24 @@ def test_ising_direct_hand_values():
     assert ising_direct(edge, F(2)) == 6  # 2 + 2*lambda
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert ising_direct(triangle, F(2)) == 26  # 2 + 6*lambda^2
+
+
+def test_partition_function_direct_hand_values():
+    neq = WeightFunction(2, 3, tuple(F(int(a != b)) for a in range(3) for b in range(3)))
+    lean = WeightFunction(1, 3, (F(1), F(2), F(1, 2)))
+    half = WeightFunction(0, 3, (F(1, 2),))
+    # a triangle of disequalities has 3! proper colourings; a fourth,
+    # unconstrained variable multiplies by 3
+    triangle = [Constraint("neq", pair) for pair in ((0, 1), (1, 2), (0, 2))]
+    assert partition_function_direct(Instance(4, 3, {"neq": neq}, tuple(triangle))) == 18
+    # lean on variable 0, used twice: 1 + 4 + 1/4; the arity-0 half halves it
+    functions = {"lean": lean, "half": half}
+    constraints = (Constraint("lean", (0,)), Constraint("lean", (0,)), Constraint("half", ()))
+    assert partition_function_direct(Instance(1, 3, functions, constraints)) == F(21, 8)
+    # neq on a repeated variable is 0 everywhere
+    looped = (Constraint("neq", (0, 0)),)
+    assert partition_function_direct(Instance(1, 3, {"neq": neq}, looped)) == 0
+    assert partition_function_direct(Instance(0, 2, {}, ())) == 1
 
 
 def test_weight_enum_direct_hand_values():

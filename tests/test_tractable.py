@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import partition_function_direct
 
+import wcsp.tractable as tractable
 from wcsp.errors import Refusal
 from wcsp.generate import product_type_chain, random_instance
 from wcsp.library import (
@@ -18,8 +20,10 @@ from wcsp.library import (
     unary_weight,
 )
 from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z
+from wcsp.models import Graph, hom_instance, ising_matrix
 from wcsp.tractable import (
     ParityUnionFind,
+    eval_elimination,
     eval_product_type,
     eval_pure_affine,
     evaluate,
@@ -286,11 +290,11 @@ def test_evaluate_reports_route():
     value, route = evaluate(
         _instance(2, 3, hard, [("xor3", (0, 1, 2)), ("lean", (0,))])
     )
-    assert route == "brute-force"
+    assert route == "elimination"
     assert value == 6  # odd-parity points weigh 1,1,2,2 under the unary
 
     value, route = evaluate(_instance(3, 2, {}, []))
-    assert (value, route) == (9, "brute-force")
+    assert (value, route) == (9, "elimination")
 
 
 def test_evaluate_force_oracle_and_budget():
@@ -326,3 +330,94 @@ def test_polynomial_routes_handle_sizes_enumeration_cannot():
     spread = parity_spread(300)
     value, route = evaluate(spread, budget=2**20)
     assert route == "pure-affine" and value > 0
+
+
+def test_evaluate_trusts_its_own_pure_affine_verdict(monkeypatch):
+    def recheck(fn):
+        raise AssertionError("pure-affine function checked a second time")
+
+    monkeypatch.setattr(tractable, "is_pure_affine", recheck)
+    xor3 = parity_indicator(3)
+    inst = _instance(2, 4, {"xor3": xor3}, [("xor3", (0, 1, 2)), ("xor3", (1, 2, 3))])
+    assert evaluate(inst) == (4, "pure-affine")
+
+
+# ---------------------------------------------------------------------------
+# bucket elimination
+
+_ENTRIES = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(3)])
+
+
+@st.composite
+def _small_instances(draw):
+    """q in {2, 3}; arity 0..3 tables with zero entries; scopes may repeat a
+    variable, and some variables may be left unconstrained."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 6))
+    functions = {}
+    for pos in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(0, 3 if n else 0))
+        size = q**arity
+        table = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+        functions[f"f{pos}"] = WeightFunction(arity, q, tuple(table))
+    constraints = []
+    for _ in range(draw(st.integers(0, 7))):
+        name = draw(st.sampled_from(sorted(functions)))
+        arity = functions[name].arity
+        scope = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=arity, max_size=arity))
+        constraints.append(Constraint(name, tuple(scope)))
+    return Instance(n, q, functions, tuple(constraints))
+
+
+@given(_small_instances())
+@example(  # hard: xor3 with a repeated variable, a unary, an arity-0 scale
+    _instance(
+        2,
+        4,
+        {
+            "xor3": parity_indicator(3),
+            "lean": unary_weight(F(2)),
+            "half": WeightFunction(0, 2, (F(1, 2),)),
+        },
+        [("xor3", (0, 0, 1)), ("xor3", (1, 2, 0)), ("lean", (2,)), ("half", ())],
+    )
+)
+@example(  # q=3: a zero-heavy binary table looped on one variable
+    _instance(
+        3,
+        3,
+        {"g": WeightFunction(2, 3, (F(0), F(1), F(2), F(0), F(0), F(3), F(1, 2), F(0), F(1)))},
+        [("g", (0, 0)), ("g", (0, 1)), ("g", (1, 0))],
+    )
+)
+def test_elimination_matches_direct_enumeration(instance):
+    expected = partition_function_direct(instance)
+    assert eval_elimination(instance) == expected
+    value, route = evaluate(instance)
+    assert value == expected
+    if instance.domain_size != 2:
+        assert route == "elimination"
+
+
+def test_elimination_cost_follows_width_not_variable_count():
+    lam = F(2, 3)
+    length = 2000
+    path = Graph.from_edges(length, [(v, v + 1) for v in range(length - 1)])
+    value, route = evaluate(hom_instance(path, ising_matrix(lam)))
+    # each edge independently agrees (1) or disagrees (lambda) along the path
+    assert (value, route) == (2 * (1 + lam) ** (length - 1), "elimination")
+    # unconstrained variables are counted, never enumerated or tabulated
+    assert evaluate(Instance(10**5, 3, {}, ())) == (3 ** 10**5, "elimination")
+
+
+def test_elimination_budget_bounds_the_largest_table():
+    complete = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    inst = hom_instance(complete, ising_matrix(F(3)))
+    # every vertex of K5 has four neighbours: one table of 2**5 entries
+    assert eval_elimination(inst, budget=2**5) == brute_force_z(inst)
+    with pytest.raises(Refusal, match="width 4: .* 2\\*\\*5 entries .* budget of 31"):
+        eval_elimination(inst, budget=2**5 - 1)
+    # refused before any table is built: K40 would need 2**40 entries at once
+    dense = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    with pytest.raises(Refusal, match="width 39"):
+        evaluate(hom_instance(dense, ising_matrix(F(3))))
