@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout, human diagnostics to stderr.  Exit
 codes: 0 success, 2 input error, 3 refusal, 4 verification failure.  The
 budget comes from ``--budget`` or the ``WCSP_BUDGET`` environment variable.
-It bounds the largest table of bucket elimination on the hard route, and the
-states the enumeration oracle may visit.
+It bounds the largest table of bucket elimination on the hard route
+(default 2**24 entries, since the table is held in memory), and the states
+the enumeration oracle may visit (default 2**30, visited in constant memory).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 from .generate import PROFILES, random_instance
 from .library import delta
 from .model import (
-    DEFAULT_BUDGET,
     Constraint,
     Instance,
     brute_force_z,
@@ -84,11 +84,6 @@ def _budget(args: argparse.Namespace) -> int | None:
         return int(raw)
     except ValueError:
         raise InputError(f"WCSP_BUDGET must be an integer, got {raw!r}") from None
-
-
-def _budget_or_default(args: argparse.Namespace) -> int:
-    budget = _budget(args)
-    return DEFAULT_BUDGET if budget is None else budget
 
 
 def _value_fields(value: Fraction) -> dict:
@@ -350,7 +345,7 @@ def _cmd_model_ising(args: argparse.Namespace) -> int:
     }
     if args.graph:
         graph = load_graph(args.graph)
-        value = eval_graph_hom(graph, matrix, budget=_budget_or_default(args))
+        value = eval_graph_hom(graph, matrix, budget=_budget(args))
         report.update(_value_fields(value))
     _emit(report)
     return EXIT_OK
@@ -360,7 +355,7 @@ def _cmd_model_evalh(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     matrix = load_target_matrix(args.matrix)
     started = time.perf_counter()
-    value = eval_graph_hom(graph, matrix, budget=_budget_or_default(args))
+    value = eval_graph_hom(graph, matrix, budget=_budget(args))
     elapsed = time.perf_counter() - started
     _emit(
         {
@@ -381,7 +376,7 @@ def _cmd_model_wenum(args: argparse.Namespace) -> int:
         generator = load_generator(args.generator)
     else:
         generator = incidence_code(load_graph(args.graph))
-    value = weight_enumerator(generator, weight, budget=_budget_or_default(args))
+    value = weight_enumerator(generator, weight, budget=_budget(args))
     _emit(
         {
             "command": "model wenum",
@@ -398,7 +393,7 @@ def _cmd_model_cut_check(args: argparse.Namespace) -> int:
     weight = parse_rational(args.lam, "--lambda")
     graph = load_graph(args.graph)
     enumerator, spin_value = cut_identity_sides(
-        graph, weight, budget=_budget_or_default(args)
+        graph, weight, budget=_budget(args)
     )
     if 2 * enumerator != spin_value:
         raise VerificationFailure(
@@ -469,7 +464,10 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=None,
-        help="largest elimination table, or most states the oracle may enumerate",
+        help=(
+            "largest elimination table (default 2**24 entries, held in memory), "
+            "or most states the oracle may enumerate (default 2**30)"
+        ),
     )
 
 

@@ -163,7 +163,7 @@ def hom_instance(graph: Graph, matrix: TargetMatrix, function_name: str = "edge"
 
 
 def eval_graph_hom(
-    graph: Graph, matrix: TargetMatrix, budget: int = DEFAULT_BUDGET
+    graph: Graph, matrix: TargetMatrix, budget: int | None = None
 ) -> Fraction:
     """Weighted homomorphism count from the graph into the target matrix."""
     value, _ = evaluate(hom_instance(graph, matrix), budget=budget)
@@ -320,7 +320,7 @@ class GeneratorMatrix:
 
 
 def weight_enumerator(
-    generator: GeneratorMatrix, weight: Fraction, budget: int = DEFAULT_BUDGET
+    generator: GeneratorMatrix, weight: Fraction, budget: int | None = None
 ) -> Fraction:
     """Sum of ``weight**hamming_weight`` over all codewords of the row span.
 
@@ -328,9 +328,10 @@ def weight_enumerator(
     """
     lam = Fraction(weight)
     dimension = generator.dimension
-    if 1 << dimension > budget:
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if 1 << dimension > limit:
         raise Refusal(
-            f"code has 2**{dimension} words, beyond the enumeration budget {budget}"
+            f"code has 2**{dimension} words, beyond the enumeration budget {limit}"
         )
     powers = [lam**w for w in range(generator.length + 1)]
     word = 0
@@ -366,7 +367,7 @@ def incidence_code(graph: Graph) -> GeneratorMatrix:
 
 
 def cut_identity_sides(
-    graph: Graph, edge_weight: Fraction, budget: int = DEFAULT_BUDGET
+    graph: Graph, edge_weight: Fraction, budget: int | None = None
 ) -> tuple[Fraction, Fraction]:
     """Both sides of the cut identity: (code enumerator, two-spin value)."""
     enumerator = weight_enumerator(incidence_code(graph), edge_weight, budget=budget)
@@ -375,7 +376,7 @@ def cut_identity_sides(
 
 
 def verify_cut_identity(
-    graph: Graph, edge_weight: Fraction, budget: int = DEFAULT_BUDGET
+    graph: Graph, edge_weight: Fraction, budget: int | None = None
 ) -> bool:
     """Whether the cut-space enumerator equals half the two-spin value."""
     enumerator, hom_value = cut_identity_sides(graph, edge_weight, budget=budget)

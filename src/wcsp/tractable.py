@@ -13,21 +13,26 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .classify import (
     FamilyVerdict,
     ProductWitness,
     classify_family,
     is_product_type,
-    is_pure_affine,
+    is_pure_affine,  # noqa: F401  (re-exported; perfbench/tracing.py wraps it by name)
     underlying_relation,
 )
-from .errors import Refusal
+from .errors import InputError, Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions
-from .model import DEFAULT_BUDGET, Instance, brute_force_z, tuple_to_index
+from .model import Instance, brute_force_z, tuple_to_index
 
 _ZERO = Fraction(0)
+
+# Elimination holds its tables in memory, unlike enumeration, which runs in
+# constant space under model.DEFAULT_BUDGET.  Without an explicit budget its
+# largest table is held to 2**24 exact integers, a few hundred MB at most.
+DEFAULT_TABLE_BUDGET = 2**24
 
 
 class ParityUnionFind:
@@ -169,29 +174,32 @@ def eval_product_type(
     return exact_product([*scales, *totals, 1 << free])
 
 
-def eval_pure_affine(instance: Instance, classified: bool = False) -> Fraction:
-    """Exact partition function of an all-pure-affine instance.
+def eval_pure_affine(instance: Instance) -> Fraction:
+    """Exact partition function of an instance whose used functions are pure affine.
 
     The value is the product of each constraint's non-zero level times the
-    GF(2) solution count of the accumulated support systems.  Every catalog
-    function is checked first, unless the caller has already classified the
-    used ones as pure affine (``classified``).
+    GF(2) solution count of the accumulated support systems.  Each used
+    function is read once: an all-zero table, a second non-zero value or a
+    support that is not affine is refused.
     """
     if instance.domain_size != 2:
         raise Refusal("the pure-affine evaluator handles domain size 2 only")
-    if not classified:
-        for name, fn in instance.functions.items():
-            if not is_pure_affine(fn):
-                raise Refusal(
-                    f"function {name!r} is not pure affine; "
-                    "evaluate with the brute-force oracle instead"
-                )
     levels: dict[str, Fraction] = {}
     systems: dict[str, Gf2System] = {}
     for name in {c.function for c in instance.constraints}:
         fn = instance.functions[name]
-        levels[name] = next(value for value in fn.table if value)
-        systems[name] = affine_system_of(underlying_relation(fn))
+        nonzero = {value for value in fn.table if value}
+        refusal = Refusal(
+            f"function {name!r} is not pure affine; "
+            "evaluate with the brute-force oracle instead"
+        )
+        if len(nonzero) != 1:
+            raise refusal
+        try:
+            systems[name] = affine_system_of(underlying_relation(fn))
+        except InputError:
+            raise refusal from None
+        (levels[name],) = nonzero
 
     rows: list[tuple[int, int]] = []
     for c in instance.constraints:
@@ -215,10 +223,12 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
     order (Dechter, "Bucket elimination", 1999): eliminating one multiplies
     the factors that mention it into a table over it and its current
     neighbours.  The order, and so the largest such table, ``q**(width + 1)``
-    entries, is fixed before any table is built, and the budget bounds that
-    table.  Variables that no constraint touches contribute ``q`` each.
+    entries, is fixed before any table is built, and the budget
+    (``DEFAULT_TABLE_BUDGET`` when none is given) bounds that table.  Each
+    table is built already summed over its variable, so no larger one is held.
+    Variables that no constraint touches contribute ``q`` each.
     """
-    limit = DEFAULT_BUDGET if budget is None else budget
+    limit = DEFAULT_TABLE_BUDGET if budget is None else budget
     q = instance.domain_size
     scopes = [tuple(dict.fromkeys(c.scope)) for c in instance.constraints]
     neighbours: dict[int, set[int]] = {}
@@ -276,13 +286,15 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
             [(at[u], q ** (len(scope) - 1 - j)) for j, u in enumerate(scope)]
             for scope, _ in bucket
         ]
-        values = []
-        for point in product(range(q), repeat=len(frame)):
-            weight = 1
-            for (_, table), stride in zip(bucket, strides):
-                weight *= table[sum(point[i] * step for i, step in stride)]
-            values.append(weight)
-        place(frame[:-1], [sum(values[i : i + q]) for i in range(0, len(values), q)])
+        weights = (
+            prod(
+                table[sum(point[i] * step for i, step in stride)]
+                for (_, table), stride in zip(bucket, strides)
+            )
+            for point in product(range(q), repeat=len(frame))
+        )
+        runs = [weights] * q  # q references to one iterator: zip takes runs of q
+        place(frame[:-1], [sum(run) for run in zip(*runs)])
     return Fraction(_tree_product(numerators), _tree_product(denominators))
 
 
@@ -311,5 +323,5 @@ def evaluate(
             }
             return eval_product_type(instance, witnesses), "product-type"
         if verdict.family is FamilyVerdict.PURE_AFFINE_FP:
-            return eval_pure_affine(instance, classified=True), "pure-affine"
+            return eval_pure_affine(instance), "pure-affine"
     return eval_elimination(instance, budget), "elimination"

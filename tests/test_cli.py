@@ -206,6 +206,24 @@ def test_eval_refuses_a_wide_hard_instance_naming_the_width(tmp_path, capsys):
     assert Fraction(report["value"]) == ising_direct(complete, Fraction(2))
 
 
+def test_default_budget_refuses_a_table_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    # K30 needs a 2**30-entry table: within the enumeration default, but it
+    # would have to be held in memory, so the elimination default refuses it.
+    monkeypatch.delenv("WCSP_BUDGET", raising=False)
+    edges = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+    complete = Graph.from_edges(30, edges)
+    instance = hom_instance(complete, ising_matrix(Fraction(2)))
+    path = write(tmp_path, "k30.json", instance_to_json(instance))
+    code, report, err = run(capsys, "eval", path)
+    assert code == 3 and report is None
+    assert "width 29" in err and f"budget of {2**24}" in err
+
+    graph = write(tmp_path, "k30.txt", "30\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    matrix = write(tmp_path, "h.json", "[[1, 2], [2, 1]]")
+    code, report, err = run(capsys, "model", "evalh", "--graph", graph, "--matrix", matrix)
+    assert code == 3 and report is None and "width 29" in err
+
+
 # ---------------------------------------------------------------------------
 # reduce subcommands
 

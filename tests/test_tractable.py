@@ -273,6 +273,18 @@ def test_pure_affine_refusals():
         eval_pure_affine(_instance(3, 1, {}, []))
 
 
+def test_pure_affine_reads_only_used_functions_and_refuses_them_itself():
+    at_least_one = WeightFunction(2, 2, (F(0), F(3), F(3), F(3)))  # support not affine
+    zero = WeightFunction(1, 2, (F(0), F(0)))
+    xor3 = parity_indicator(3)
+    for bad in (at_least_one, zero):
+        scope = tuple(range(bad.arity))
+        with pytest.raises(Refusal, match="not pure affine"):
+            eval_pure_affine(_instance(2, 3, {"bad": bad}, [("bad", scope)]))
+    unused = _instance(2, 3, {"xor3": xor3, "bad": at_least_one}, [("xor3", (0, 1, 2))])
+    assert eval_pure_affine(unused) == 4
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
