@@ -6,9 +6,10 @@ affine (coset) relation and all non-zero values coincide.  A family where every
 member is product type, or every member is pure affine, admits a polynomial
 evaluator; any other family is classified hard.
 
-Classification decisions here are purely syntactic on the table; the
-polynomial-time evaluators in :mod:`wcsp.tractable` consume the witnesses
-produced by :func:`is_product_type`.
+Classification decisions here are purely syntactic on the table.  Each
+function's report carries the witness of every tractable class it belongs to,
+and the polynomial-time evaluators in :mod:`wcsp.tractable` run on those
+witnesses alone.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import Refusal
-from .gf2 import xor_basis
+from .errors import InputError, Refusal
+from .gf2 import Gf2System, affine_system_of
 from .model import Relation, WeightFunction, index_to_tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _require_boolean(fn_or_rel: WeightFunction | Relation, what: str) -> None:
-    if fn_or_rel.domain_size != 2:
+def _require_boolean(fn: WeightFunction, what: str) -> None:
+    if fn.domain_size != 2:
         raise Refusal(f"{what} is only defined for domain size 2")
 
 
@@ -44,18 +45,15 @@ def underlying_relation(fn: WeightFunction) -> Relation:
 def is_affine_relation(relation: Relation) -> bool:
     """Whether a Boolean relation is closed under coordinatewise a XOR b XOR c.
 
-    Equivalently: the relation is a coset of a GF(2)-linear space.  The test
-    translates members to an origin and checks that the difference set is a
-    linear space via its GF(2) rank (members == 2**rank).  For q=2 the shared
-    index encoding is itself the bitmask encoding, so XOR acts directly on
-    member indices.
+    Equivalently: the relation is a coset of a GF(2)-linear space, which is
+    exactly when :func:`affine_system_of` finds a system for it.  The empty
+    relation counts as affine.
     """
-    _require_boolean(relation, "affine relation test")
-    if not relation.members:
-        return True
-    members = relation.members
-    origin = min(members)
-    return len(members) == 1 << len(xor_basis(m ^ origin for m in members))
+    try:
+        affine_system_of(relation)
+    except InputError:
+        return False
+    return True
 
 
 def has_affine_support(fn: WeightFunction) -> bool:
@@ -69,10 +67,7 @@ def is_pure_affine(fn: WeightFunction) -> bool:
     though it is product type.
     """
     _require_boolean(fn, "pure affine test")
-    values = {fn.table[i] for i in fn.support_indices()}
-    if len(values) != 1:
-        return False
-    return has_affine_support(fn)
+    return len({value for value in fn.table if value}) == 1 and has_affine_support(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +266,26 @@ class FamilyVerdict(Enum):
 
 
 @dataclass(frozen=True)
+class AffineWitness:
+    """A pure-affine function: ``level`` on the solutions of ``system``, else 0.
+
+    Row bit ``i`` of the system stands for coordinate ``i`` of the function.
+    """
+
+    level: Fraction
+    system: Gf2System
+
+
+@dataclass(frozen=True)
 class FunctionReport:
-    """Per-function classification flags and witness data."""
+    """Per-function flags; each witness is set exactly when its flag is."""
 
     name: str
     product_type: bool
     pure_affine: bool
     affine_support: bool
-    product_like: bool
     witness: ProductWitness | None
-    slice_ratios: dict[int, Fraction]
+    affine_witness: AffineWitness | None
 
 
 @dataclass(frozen=True)
@@ -298,19 +303,21 @@ class Verdict:
 
 def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
     product_type, witness = is_product_type(fn)
-    product_like, ratios = is_product_like(fn)
-    # Pure affine is affine support plus one non-zero level (see is_pure_affine);
-    # the support test is the costly half, so it runs once for both flags.
-    affine_support = has_affine_support(fn)
-    levels = {fn.table[i] for i in fn.support_indices()}
+    # Pure affine is affine support plus one non-zero level (see is_pure_affine).
+    # The support's system is the one coset test and half the witness.
+    try:
+        system = affine_system_of(underlying_relation(fn))
+    except InputError:
+        system = None
+    levels = {value for value in fn.table if value}
+    affine = AffineWitness(*levels, system) if system and len(levels) == 1 else None
     return FunctionReport(
         name=name,
         product_type=product_type,
-        pure_affine=affine_support and len(levels) == 1,
-        affine_support=affine_support,
-        product_like=product_like,
+        pure_affine=affine is not None,
+        affine_support=system is not None,
         witness=witness,
-        slice_ratios=ratios,
+        affine_witness=affine,
     )
 
 

@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .classify import ProductWitness, classify_family
+from .classify import ProductWitness, classify_family, is_product_like
 from .errors import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -133,7 +133,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     "product_type": report.product_type,
                     "pure_affine": report.pure_affine,
                     "affine_support": report.affine_support,
-                    "product_like": report.product_like,
+                    "product_like": is_product_like(functions[name])[0],
                     "witness": _witness_obj(report.witness),
                 }
                 for name, report in verdict.per_function.items()

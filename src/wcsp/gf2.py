@@ -98,22 +98,24 @@ def affine_system_of(relation: Relation) -> Gf2System:
     if relation.domain_size != 2:
         raise Refusal("affine systems are only defined for domain size 2")
     k = relation.arity
-    if not relation.members:
+    members = relation.members
+    if not members:
         return Gf2System(k, ((0, 1),))
-    # Coordinate i at bit i (the table encoding keeps coordinate 0 at the top
-    # bit instead, so translate while decoding).
-    points = []
-    for row in relation.tuples():
-        mask = 0
-        for i, value in enumerate(row):
-            mask |= value << i
-        points.append(mask)
-    origin = points[0]
-    span = xor_basis(p ^ origin for p in points)
+    origin = min(members)
+    span = xor_basis(m ^ origin for m in members)
     # A coset of the span has 2**rank members; anything else is not affine.
-    if len(points) != 1 << len(span):
+    if len(members) != 1 << len(span):
         raise InputError("relation is not affine; no linear system represents it")
+
+    # Member indices keep coordinate 0 at the top bit, system rows at bit 0;
+    # reversing the bits of the origin and the basis (not of every member)
+    # translates the coset.
+    def reverse(index: int) -> int:
+        return int(f"{index:0{k}b}"[::-1], 2)
+
+    origin = reverse(origin)
     rows = tuple(
-        (a, bin(a & origin).count("1") % 2) for a in _nullspace(span.values(), k)
+        (a, bin(a & origin).count("1") % 2)
+        for a in _nullspace(map(reverse, span.values()), k)
     )
     return Gf2System(k, rows)

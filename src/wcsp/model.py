@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InputError, Refusal
 
-#: Default ceiling on the number of weighted states an enumeration may visit,
-#: and on the entries of the largest table of bucket elimination.
+#: Default ceiling on the states an enumeration may visit: the assignments of
+#: ``conditioned_z``/``brute_force_z`` and the codewords of the code enumerator.
 DEFAULT_BUDGET = 2**30
 
 _ZERO = Fraction(0)
@@ -181,8 +182,14 @@ class WeightFunction:
             index = index * self.domain_size + v
         return self.table[index]
 
-    def is_zero(self) -> bool:
-        return all(entry == 0 for entry in self.table)
+    # The table is immutable, so its hash, a pass over every entry, is taken
+    # once per object; classification's cache looks tables up by it.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.arity, self.domain_size, self.table))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def support_indices(self) -> list[int]:
         """Table indices carrying non-zero weight, in increasing order."""
@@ -209,20 +216,6 @@ class Relation:
     ) -> "Relation":
         members = frozenset(tuple_to_index(t, domain_size) for t in tuples)
         return cls(arity, domain_size, members)
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return tuple_to_index(point, self.domain_size) in self.members
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        """Decoded members in increasing index order (deterministic)."""
-        for m in sorted(self.members):
-            yield index_to_tuple(m, self.arity, self.domain_size)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def is_empty(self) -> bool:
-        return not self.members
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,11 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from math import lcm, prod
 
-from .classify import (
-    FamilyVerdict,
-    ProductWitness,
-    classify_family,
-    is_product_type,
-    is_pure_affine,  # noqa: F401  (re-exported; perfbench/tracing.py wraps it by name)
-    underlying_relation,
-)
-from .errors import InputError, Refusal
-from .gf2 import Gf2System, affine_system_of, count_solutions
+# is_pure_affine and affine_system_of are re-exported: perfbench/tracing.py
+# wraps them by name.
+from .classify import FamilyVerdict, Verdict, classify_family, is_pure_affine  # noqa: F401
+from .errors import Refusal
+from .gf2 import Gf2System, affine_system_of, count_solutions  # noqa: F401
 from .model import Instance, brute_force_z, tuple_to_index
 
 _ZERO = Fraction(0)
@@ -112,26 +107,37 @@ def exact_product(factors: list[Fraction | int]) -> Fraction:
     return Fraction(_tree_product(numerators), _tree_product(denominators))
 
 
-def eval_product_type(
-    instance: Instance, witnesses: dict[str, ProductWitness] | None = None
-) -> Fraction:
+def _classify_used(instance: Instance) -> Verdict:
+    """Classify the functions some constraint uses; unused ones never matter.
+
+    Reports of recent tables are kept, so an evaluator called by
+    :func:`evaluate` reads the reports that routing has just built.
+    """
+    used = {c.function for c in instance.constraints}
+    return classify_family(
+        {name: fn for name, fn in instance.functions.items() if name in used}
+    )
+
+
+def _refuse(name: str, kind: str) -> Refusal:
+    return Refusal(
+        f"function {name!r} is not {kind}; evaluate with the brute-force oracle instead"
+    )
+
+
+def eval_product_type(instance: Instance) -> Fraction:
     """Exact partition function of an all-product-type instance, near-linear time.
 
-    Refuses (pointing at the brute-force oracle) when some catalog function is
-    not product type.  Witnesses may be passed in to skip re-classification.
+    Runs on the product-type witnesses of the used functions, and refuses
+    (pointing at the brute-force oracle) when a used function has none.
     """
     if instance.domain_size != 2:
         raise Refusal("the product-type evaluator handles domain size 2 only")
-    if witnesses is None:
-        witnesses = {}
-        for name, fn in instance.functions.items():
-            ok, witness = is_product_type(fn)
-            if not ok:
-                raise Refusal(
-                    f"function {name!r} is not product type; "
-                    "evaluate with the brute-force oracle instead"
-                )
-            witnesses[name] = witness
+    witnesses = {}
+    for report in _classify_used(instance).per_function.values():
+        if report.witness is None:
+            raise _refuse(report.name, "product type")
+        witnesses[report.name] = report.witness
 
     union = ParityUnionFind(instance.num_variables)
     scales: list[Fraction] = []
@@ -178,40 +184,31 @@ def eval_pure_affine(instance: Instance) -> Fraction:
     """Exact partition function of an instance whose used functions are pure affine.
 
     The value is the product of each constraint's non-zero level times the
-    GF(2) solution count of the accumulated support systems.  Each used
-    function is read once: an all-zero table, a second non-zero value or a
-    support that is not affine is refused.
+    GF(2) solution count of the accumulated support systems, both read from
+    the used functions' pure-affine witnesses; a used function without one
+    is refused.
     """
     if instance.domain_size != 2:
         raise Refusal("the pure-affine evaluator handles domain size 2 only")
-    levels: dict[str, Fraction] = {}
-    systems: dict[str, Gf2System] = {}
-    for name in {c.function for c in instance.constraints}:
-        fn = instance.functions[name]
-        nonzero = {value for value in fn.table if value}
-        refusal = Refusal(
-            f"function {name!r} is not pure affine; "
-            "evaluate with the brute-force oracle instead"
-        )
-        if len(nonzero) != 1:
-            raise refusal
-        try:
-            systems[name] = affine_system_of(underlying_relation(fn))
-        except InputError:
-            raise refusal from None
-        (levels[name],) = nonzero
+    witnesses = {}
+    for report in _classify_used(instance).per_function.values():
+        if report.affine_witness is None:
+            raise _refuse(report.name, "pure affine")
+        witnesses[report.name] = report.affine_witness
 
     rows: list[tuple[int, int]] = []
     for c in instance.constraints:
         arity = len(c.scope)
-        for mask, constant in systems[c.function].rows:
+        for mask, constant in witnesses[c.function].system.rows:
             var_mask = 0
             for pos in range(arity):
                 if mask >> pos & 1:
                     var_mask ^= 1 << c.scope[pos]
             rows.append((var_mask, constant))
     count = count_solutions(Gf2System(instance.num_variables, tuple(rows)))
-    return exact_product([*(levels[c.function] for c in instance.constraints), count])
+    return exact_product(
+        [*(witnesses[c.function].level for c in instance.constraints), count]
+    )
 
 
 def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
@@ -313,15 +310,9 @@ def evaluate(
     if force_oracle:
         return brute_force_z(instance, budget), "brute-force"
     if instance.domain_size == 2:
-        used = {c.function for c in instance.constraints}
-        verdict = classify_family(
-            {name: fn for name, fn in instance.functions.items() if name in used}
-        )
+        verdict = _classify_used(instance)
         if verdict.family is FamilyVerdict.PRODUCT_TYPE_FP:
-            witnesses = {
-                name: report.witness for name, report in verdict.per_function.items()
-            }
-            return eval_product_type(instance, witnesses), "product-type"
+            return eval_product_type(instance), "product-type"
         if verdict.family is FamilyVerdict.PURE_AFFINE_FP:
             return eval_pure_affine(instance), "pure-affine"
     return eval_elimination(instance, budget), "elimination"

@@ -35,10 +35,6 @@ class CheckResult:
     detail: str
 
 
-def _result(suite: str, name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(suite, name, passed, detail)
-
-
 def check_oracle_equivalence(seed: int, trials: int = 24) -> list[CheckResult]:
     """Dispatcher output equals enumeration on random small instances."""
     results = []
@@ -48,7 +44,7 @@ def check_oracle_equivalence(seed: int, trials: int = 24) -> list[CheckResult]:
         fast, route = evaluate(instance)
         slow = brute_force_z(instance)
         results.append(
-            _result(
+            CheckResult(
                 "oracle",
                 f"dispatch-{profile}-{trial}",
                 fast == slow,
@@ -84,7 +80,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         expected = brute_force_z(pinned)
         got = pinning_reduce_boolean(pinned, brute_force_z)
         results.append(
-            _result(
+            CheckResult(
                 "reductions",
                 f"pin-elimination-{trial}",
                 got == expected,
@@ -116,7 +112,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         expected = brute_force_z(shrunk)
         got = brute_force_z(lifted)
         results.append(
-            _result(
+            CheckResult(
                 "reductions",
                 f"projection-simulation-{trial}",
                 got == expected,
@@ -139,7 +135,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
             augmented, "uprobe", Fraction(2), brute_force_z
         )
         results.append(
-            _result(
+            CheckResult(
                 "reductions",
                 f"interpolation-{trial}",
                 got == expected,
@@ -151,7 +147,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         expected = Fraction(2 ** (width - 1))
         got = brute_force_z(instance)
         results.append(
-            _result(
+            CheckResult(
                 "reductions",
                 f"parity-chain-{width}",
                 got == expected,
@@ -171,7 +167,7 @@ def check_cut_identity(seed: int, trials: int = 20) -> list[CheckResult]:
         graph = random_connected_graph(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
         weight = rng.choice(weights)
         results.append(
-            _result(
+            CheckResult(
                 "cut",
                 f"cut-identity-{trial}",
                 verify_cut_identity(graph, weight),

@@ -6,6 +6,7 @@ serve as ground truth on exhaustive small inputs.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
 )
 
 import wcsp.classify as classify
+import wcsp.tractable as tractable
 from wcsp.classify import (
     FamilyVerdict,
     classify_family,
@@ -33,6 +35,7 @@ from wcsp.classify import (
     useful_indices,
 )
 from wcsp.errors import Refusal
+from wcsp.gf2 import affine_system_of
 from wcsp.library import (
     binary_disequality,
     binary_equality,
@@ -265,11 +268,48 @@ def test_empty_family_is_product_type():
 def test_classify_function_report_fields():
     report = classify_function("skew", fn(2, 1, 3, 2, 6))
     assert report.name == "skew"
-    assert report.product_type and report.product_like
+    assert report.product_type
     assert not report.pure_affine
     assert report.affine_support  # full support is affine
-    assert report.slice_ratios == {0: F(1, 2), 1: F(1, 3)}
     assert reconstruct_product_table(report.witness) == fn(2, 1, 3, 2, 6).table
+    assert report.affine_witness is None  # four distinct non-zero levels
+
+    # support {(0,0,1), (0,1,1)} at level 5: x0 = 0, x2 = 1, x1 free
+    report = classify_function("half", fn(3, 0, 5, 0, 5, 0, 0, 0, 0))
+    assert report.pure_affine and report.affine_support
+    assert report.affine_witness.level == 5
+    system = report.affine_witness.system
+    solutions = {
+        point
+        for point in itertools.product((0, 1), repeat=3)
+        # row bit i is coordinate i
+        if all(
+            sum(point[i] for i in range(3) if mask >> i & 1) % 2 == constant
+            for mask, constant in system.rows
+        )
+    }
+    assert solutions == {(0, 0, 1), (0, 1, 1)}
+    assert classify_function("or", fn(2, 0, 3, 3, 3)).affine_witness is None
+    assert classify_function("zero", fn(1, 0, 0)).affine_witness is None
+
+
+def test_equal_tables_hash_equal_and_are_classified_once(monkeypatch):
+    classified = []
+
+    def counting(name, function):
+        classified.append(name)
+        return classify_function(name, function)
+
+    first = WeightFunction(8, 2, tuple(F(bin(i).count("1") + 1) for i in range(256)))
+    second = WeightFunction(8, 2, tuple(F(bin(i).count("1") + 1) for i in range(256)))
+    assert first is not second and first.table is not second.table
+    assert first == second and hash(first) == hash(second)
+    classify._table_report.cache_clear()
+    monkeypatch.setattr(classify, "classify_function", counting)
+    verdict = classify_family({"first": first, "second": second})
+    assert len(classified) == 1
+    reports = verdict.per_function
+    assert replace(reports["first"], name="second") == reports["second"]
 
 
 def test_a_reduction_classifies_each_table_once(monkeypatch):
@@ -308,3 +348,38 @@ def test_a_reduction_classifies_each_table_once(monkeypatch):
         classify_family({"u": unary_weight(F(weight))})
     info = classify._table_report.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+
+
+def test_a_pure_affine_reduction_builds_each_system_once(monkeypatch):
+    k = 9
+    built = []
+
+    def counting(relation):
+        built.append(relation.arity)
+        return affine_system_of(relation)
+
+    classify._table_report.cache_clear()
+    # evaluation may take the system from either module; count both
+    monkeypatch.setattr(classify, "affine_system_of", counting)
+    monkeypatch.setattr(tractable, "affine_system_of", counting)
+    # odd parity of odd arity at level 3: pure affine, not flip-symmetric, so
+    # pin elimination makes four evaluator calls
+    odd = WeightFunction(k, 2, tuple(F(3 * (bin(i).count("1") % 2)) for i in range(1 << k)))
+    functions = {"odd": odd, "eq": binary_equality(), "delta0": delta(0), "delta1": delta(1)}
+    constraints = (
+        Constraint("odd", tuple(range(k))),
+        Constraint("eq", (k, 1)),
+        Constraint("delta0", (0,)),
+        Constraint("delta1", (k,)),
+    )
+    instance = Instance(k + 1, 2, functions, constraints)
+    calls = []
+
+    def evaluator(inst):
+        value, route = evaluate(inst)
+        calls.append(route)
+        return value
+
+    assert pinning_reduce_boolean(instance, evaluator) == brute_force_z(instance)
+    assert calls == ["pure-affine"] * 4
+    assert built.count(k) == 1

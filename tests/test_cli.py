@@ -71,6 +71,44 @@ def test_classify_instance_file_and_hard_pair(tmp_path, capsys):
     assert code == 0 and report["family"] == "PURE_AFFINE_FP"
 
 
+GOLDEN_CATALOG = (
+    '{"q":2,"functions":{'
+    '"xor3":{"arity":3,"table":["0","1","1","0","1","0","0","1"]},'
+    '"lopsided":{"arity":2,"table":["1","1","1","2"]},'
+    '"or":{"arity":2,"table":["0","3","3","3"]},'
+    '"skew":{"arity":2,"table":["1","3","2","6"]},'
+    '"pin":{"arity":1,"table":["1","0"]}}}'
+)
+
+
+def test_classify_output_matches_recorded_golden(tmp_path, monkeypatch, capsys):
+    # xor3 is product-like but not product type; lopsided has full support
+    # and is not product-like; or has a non-affine support; pin is in both
+    # tractable classes.  Flags and the sha256 of the whole stdout were
+    # recorded before the evaluators took their witnesses from the reports.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "cat.json", GOLDEN_CATALOG)
+    assert cli.main(["classify", "cat.json"]) == 0
+    out = capsys.readouterr().out
+    flags = {
+        name: tuple(
+            report[key] for key in ("product_type", "pure_affine", "affine_support", "product_like")
+        )
+        for name, report in json.loads(out)["functions"].items()
+    }
+    assert flags == {
+        "xor3": (False, True, True, True),
+        "lopsided": (False, False, True, False),
+        "or": (False, False, False, False),
+        "skew": (True, False, True, True),
+        "pin": (True, True, True, True),
+    }
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "5aa9c4e2931757c4dc35f9a9f78d2b0b43e650f249b5b4ea7dbd1952b2cf0f62"
+    )
+
+
 def test_eval_routes_and_values(tmp_path, capsys):
     path = write(tmp_path, "inst.json", XOR3_INSTANCE)
     code, report, _ = run(capsys, "eval", path)

@@ -285,6 +285,14 @@ def test_pure_affine_reads_only_used_functions_and_refuses_them_itself():
     assert eval_pure_affine(unused) == 4
 
 
+def test_product_type_reads_only_used_functions():
+    functions = {"neq": binary_disequality(), "xor3": parity_indicator(3)}
+    path = _instance(2, 4, functions, [("neq", (0, 1)), ("neq", (1, 2)), ("neq", (2, 3))])
+    assert eval_product_type(path) == 2
+    with pytest.raises(Refusal, match="'xor3' is not product type"):
+        eval_product_type(_instance(2, 3, functions, [("xor3", (0, 1, 2))]))
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
@@ -349,6 +357,7 @@ def test_evaluate_trusts_its_own_pure_affine_verdict(monkeypatch):
         raise AssertionError("pure-affine function checked a second time")
 
     monkeypatch.setattr(tractable, "is_pure_affine", recheck)
+    monkeypatch.setattr(tractable, "affine_system_of", recheck)
     xor3 = parity_indicator(3)
     inst = _instance(2, 4, {"xor3": xor3}, [("xor3", (0, 1, 2)), ("xor3", (1, 2, 3))])
     assert evaluate(inst) == (4, "pure-affine")
