@@ -6,10 +6,11 @@ affine (coset) relation and all non-zero values coincide.  A family where every
 member is product type, or every member is pure affine, admits a polynomial
 evaluator; any other family is classified hard.
 
-Classification decisions here are purely syntactic on the table.  Each
-function's report carries the witness of every tractable class it belongs to,
-and the polynomial-time evaluators in :mod:`wcsp.tractable` run on those
-witnesses alone.
+Both classes have affine supports, so each table's support is reduced once to
+a coset (its lowest index and the span of the differences from it), whose
+rank and basis decide both classes.  Each function's report carries the
+witness of every tractable class it belongs to, and the polynomial-time
+evaluators in :mod:`wcsp.tractable` run on those witnesses alone.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import InputError, Refusal
-from .gf2 import Gf2System, affine_system_of
+from .errors import Refusal
+from .gf2 import Gf2System, coset_of, coset_system
 from .model import Relation, WeightFunction, index_to_tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _require_boolean(fn: WeightFunction, what: str) -> None:
+def _require_boolean(fn: WeightFunction | Relation, what: str) -> None:
     if fn.domain_size != 2:
         raise Refusal(f"{what} is only defined for domain size 2")
 
@@ -45,15 +46,11 @@ def underlying_relation(fn: WeightFunction) -> Relation:
 def is_affine_relation(relation: Relation) -> bool:
     """Whether a Boolean relation is closed under coordinatewise a XOR b XOR c.
 
-    Equivalently: the relation is a coset of a GF(2)-linear space, which is
-    exactly when :func:`affine_system_of` finds a system for it.  The empty
-    relation counts as affine.
+    Equivalently: the relation is a coset of a GF(2)-linear space.  The
+    empty relation counts as affine.
     """
-    try:
-        affine_system_of(relation)
-    except InputError:
-        return False
-    return True
+    _require_boolean(relation, "affine test")
+    return not relation.members or coset_of(relation.members) is not None
 
 
 def has_affine_support(fn: WeightFunction) -> bool:
@@ -77,21 +74,13 @@ def is_pure_affine(fn: WeightFunction) -> bool:
 def useful_indices(fn: WeightFunction) -> list[int]:
     """Coordinates (0-based) where both slices carry some non-zero weight."""
     _require_boolean(fn, "useful index test")
-    k = fn.arity
-    table = fn.table
-    out = []
-    for i in range(k):
-        stride = 1 << (k - 1 - i)
-        found = False
-        for index in range(len(table)):
-            if index & stride:
-                continue
-            if table[index] and table[index | stride]:
-                found = True
-                break
-        if found:
-            out.append(i)
-    return out
+    k, table = fn.arity, fn.table
+    strides = [1 << (k - 1 - i) for i in range(k)]
+    return [
+        i
+        for i, stride in enumerate(strides)
+        if any(table[m] and table[m | stride] for m in range(len(table)) if not m & stride)
+    ]
 
 
 def is_product_like(fn: WeightFunction) -> tuple[bool, dict[int, Fraction]]:
@@ -184,75 +173,66 @@ def reconstruct_product_table(witness: ProductWitness) -> tuple[Fraction, ...]:
 def is_product_type(fn: WeightFunction) -> tuple[bool, ProductWitness | None]:
     """Decide product type and, when it holds, return an exact witness.
 
-    The test is polynomial in the table size: group the support columns into
-    equal-or-complemented classes, require the class patterns to exhaust all
-    combinations, then check that values factor through per-class ratios
-    against a base point.
+    The support's coset basis must tie the columns into ``rank`` classes,
+    and each row must equal its parent row times one class ratio (see
+    :func:`_product_witness`).
     """
     _require_boolean(fn, "product type test")
-    k = fn.arity
     support = fn.support_indices()
+    witness = _product_witness(fn, support, coset_of(support))
+    return witness is not None, witness
+
+
+def _product_witness(
+    fn: WeightFunction, support: list[int], coset: tuple[int, dict[int, int]] | None
+) -> ProductWitness | None:
+    """The product-type witness read off the support and its coset, if any.
+
+    A column's pattern is its bit in each basis vector: 0 pins it to the
+    origin's bit, equal patterns tie columns (complemented where their origin
+    bits differ).  A row's parent flips back the class of its lowest bit that
+    differs from the origin.
+    """
+    k = fn.arity
     if not support:
-        return True, ProductWitness(k, (), (), _ZERO)
-    rows = [index_to_tuple(m, k, 2) for m in support]
-    columns = [tuple(row[i] for row in rows) for i in range(k)]
-    height = len(rows)
-
+        return ProductWitness(k, (), (), _ZERO)
+    if coset is None:
+        return None
+    origin, span = coset
+    table = fn.table
     constant_columns = []
-    classes: list[list[tuple[int, bool]]] = []
-    for i in range(k):
-        col = columns[i]
-        if col.count(col[0]) == height:
-            constant_columns.append((i, col[0]))
-            continue
-        for cls in classes:
-            rep_col = columns[cls[0][0]]
-            if col == rep_col:
-                cls.append((i, False))
-                break
-            if all(a != b for a, b in zip(col, rep_col)):
-                cls.append((i, True))
-                break
+    classes: dict[int, list[tuple[int, bool]]] = {}  # pattern -> members
+    for col in range(k):
+        shift = k - 1 - col
+        pattern = sum((vec >> shift & 1) << j for j, vec in enumerate(span.values()))
+        side = origin >> shift & 1
+        if not pattern:
+            constant_columns.append((col, side))
+        elif pattern in classes:
+            rep = classes[pattern][0][0]
+            classes[pattern].append((col, side != origin >> (k - 1 - rep) & 1))
         else:
-            classes.append([(i, False)])
+            classes[pattern] = [(col, False)]
+    if len(classes) != len(span):  # implied by the row checks, but cheaper
+        return None
 
-    if height != 1 << len(classes):
-        return False, None
-
-    member_set = frozenset(support)
-    base_index = support[0]
-    base = rows[0]
-    base_value = fn.table[base_index]
-    class_masks = []
-    ratios = []
-    for cls in classes:
-        mask = 0
-        for col, _complemented in cls:
-            mask |= 1 << (k - 1 - col)
-        flipped = base_index ^ mask
-        if flipped not in member_set:
-            return False, None
-        class_masks.append(mask)
-        ratios.append(fn.table[flipped] / base_value)
-
-    for row, index in zip(rows, support):
-        expected = base_value
-        for cls, ratio in zip(classes, ratios):
-            rep = cls[0][0]
-            if row[rep] != base[rep]:
-                expected = expected * ratio
-        if fn.table[index] != expected:
-            return False, None
-
+    base = table[origin]
     witness_classes = []
-    for cls, ratio in zip(classes, ratios):
-        rep = cls[0][0]
-        weights = (_ONE, ratio) if base[rep] == 0 else (ratio, _ONE)
-        witness_classes.append(TiedColumnClass(tuple(cls), weights))
-    witness = ProductWitness(
-        k, tuple(constant_columns), tuple(witness_classes), base_value
-    )
-    return True, witness
+    class_of_bit = {}  # column bit -> (class mask, class ratio)
+    for members in classes.values():
+        mask = sum(1 << (k - 1 - col) for col, _ in members)
+        ratio = table[origin ^ mask] / base
+        for col, _ in members:
+            class_of_bit[1 << (k - 1 - col)] = mask, ratio
+        rep_side = origin >> (k - 1 - members[0][0]) & 1
+        weights = (ratio, _ONE) if rep_side else (_ONE, ratio)
+        witness_classes.append(TiedColumnClass(tuple(members), weights))
+    for index in support[1:]:  # support[0] is the origin
+        differ = index ^ origin
+        mask, ratio = class_of_bit[differ & -differ]
+        if table[index] != table[index ^ mask] * ratio:
+            return None
+    return ProductWitness(k, tuple(constant_columns), tuple(witness_classes), base)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +282,20 @@ class Verdict:
 
 
 def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
-    product_type, witness = is_product_type(fn)
-    # Pure affine is affine support plus one non-zero level (see is_pure_affine).
-    # The support's system is the one coset test and half the witness.
-    try:
-        system = affine_system_of(underlying_relation(fn))
-    except InputError:
-        system = None
-    levels = {value for value in fn.table if value}
-    affine = AffineWitness(*levels, system) if system and len(levels) == 1 else None
+    _require_boolean(fn, "product type test")
+    # Both tractable tests read one coset of the support; pure affine is an
+    # affine support with one non-zero level, witnessed with the coset's system.
+    support = fn.support_indices()
+    coset = coset_of(support)
+    witness = _product_witness(fn, support, coset)
+    level = fn.table[support[0]] if support else None
+    pure = coset is not None and all(fn.table[i] == level for i in support)
+    affine = AffineWitness(level, coset_system(fn.arity, *coset)) if pure else None
     return FunctionReport(
         name=name,
-        product_type=product_type,
+        product_type=witness is not None,
         pure_affine=affine is not None,
-        affine_support=system is not None,
+        affine_support=coset is not None or not support,
         witness=witness,
         affine_witness=affine,
     )

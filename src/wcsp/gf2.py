@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import InputError, Refusal
 from .model import Relation
@@ -89,6 +89,33 @@ def _nullspace(vectors: Iterable[int], width: int) -> list[int]:
     return out
 
 
+def coset_of(members: Collection[int]) -> tuple[int, dict[int, int]] | None:
+    """The lowest member and the :func:`xor_basis` of the differences from it,
+    or ``None`` unless the members are that span's coset (``2**rank`` of them)."""
+    if not members:
+        return None
+    origin = min(members)
+    span = xor_basis(m ^ origin for m in members)
+    return (origin, span) if len(members) == 1 << len(span) else None
+
+
+def coset_system(arity: int, origin: int, span: dict[int, int]) -> Gf2System:
+    """The GF(2) system whose solutions are the coset ``origin + span``."""
+
+    # Indices keep coordinate 0 at the top bit, system rows at bit 0;
+    # reversing the bits of the origin and the basis (not of every member)
+    # translates the coset.
+    def reverse(index: int) -> int:
+        return int(f"{index:0{arity}b}"[::-1], 2)
+
+    origin = reverse(origin)
+    rows = tuple(
+        (a, bin(a & origin).count("1") % 2)
+        for a in _nullspace(map(reverse, span.values()), arity)
+    )
+    return Gf2System(arity, rows)
+
+
 def affine_system_of(relation: Relation) -> Gf2System:
     """A GF(2) system whose solution set is exactly the given affine relation.
 
@@ -97,25 +124,9 @@ def affine_system_of(relation: Relation) -> Gf2System:
     """
     if relation.domain_size != 2:
         raise Refusal("affine systems are only defined for domain size 2")
-    k = relation.arity
-    members = relation.members
-    if not members:
-        return Gf2System(k, ((0, 1),))
-    origin = min(members)
-    span = xor_basis(m ^ origin for m in members)
-    # A coset of the span has 2**rank members; anything else is not affine.
-    if len(members) != 1 << len(span):
+    if not relation.members:
+        return Gf2System(relation.arity, ((0, 1),))
+    coset = coset_of(relation.members)
+    if coset is None:
         raise InputError("relation is not affine; no linear system represents it")
-
-    # Member indices keep coordinate 0 at the top bit, system rows at bit 0;
-    # reversing the bits of the origin and the basis (not of every member)
-    # translates the coset.
-    def reverse(index: int) -> int:
-        return int(f"{index:0{k}b}"[::-1], 2)
-
-    origin = reverse(origin)
-    rows = tuple(
-        (a, bin(a & origin).count("1") % 2)
-        for a in _nullspace(map(reverse, span.values()), k)
-    )
-    return Gf2System(k, rows)
+    return coset_system(relation.arity, *coset)

@@ -296,7 +296,8 @@ def conditioned_z(
             raise InputError(f"variable {var} pinned more than once")
         fixed[var] = value
     free = n - len(fixed)
-    if q**free > limit:
+    # q >= 2: free >= limit.bit_length() implies q**free > limit, uncomputed
+    if free >= limit.bit_length() or q**free > limit:
         raise Refusal(
             f"enumeration of {q}**{free} weighted states exceeds the budget of {limit}"
         )

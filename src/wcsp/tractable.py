@@ -121,7 +121,7 @@ def _classify_used(instance: Instance) -> Verdict:
 
 def _refuse(name: str, kind: str) -> Refusal:
     return Refusal(
-        f"function {name!r} is not {kind}; evaluate with the brute-force oracle instead"
+        f"function {name!r} is not {kind}; call evaluate() to route the instance instead"
     )
 
 
@@ -129,7 +129,7 @@ def eval_product_type(instance: Instance) -> Fraction:
     """Exact partition function of an all-product-type instance, near-linear time.
 
     Runs on the product-type witnesses of the used functions, and refuses
-    (pointing at the brute-force oracle) when a used function has none.
+    (pointing at :func:`evaluate`) when a used function has none.
     """
     if instance.domain_size != 2:
         raise Refusal("the product-type evaluator handles domain size 2 only")

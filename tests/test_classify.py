@@ -1,11 +1,12 @@
 """Dichotomy classification, checked against independent reference procedures.
 
-The fast column-class / rank implementations are the code under test; the
+The fast coset-based implementations are the code under test; the
 slow decomposition search and literal closure test live in ``oracles`` and
 serve as ground truth on exhaustive small inputs.
 """
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -35,7 +36,8 @@ from wcsp.classify import (
     useful_indices,
 )
 from wcsp.errors import Refusal
-from wcsp.gf2 import affine_system_of
+from wcsp.generate import random_product_type_function
+from wcsp.gf2 import affine_system_of, coset_system
 from wcsp.library import (
     binary_disequality,
     binary_equality,
@@ -191,20 +193,48 @@ def test_product_type_refuses_larger_domains():
         is_product_type(WeightFunction(1, 3, (F(1), F(1), F(1))))
 
 
-@given(st.integers(0, 3), st.data())
+@given(st.integers(0, 4), st.data())
 def test_product_type_matches_decomposition_search(arity, data):
-    table = data.draw(
-        st.lists(
-            st.sampled_from([0, 0, 1, 1, 2, 3]),
-            min_size=2**arity,
-            max_size=2**arity,
+    if data.draw(st.booleans(), label="generated"):
+        # product type by construction, unless one entry is then changed
+        rng = data.draw(st.randoms(use_true_random=False))
+        table = list(random_product_type_function(rng, arity).table)
+        if data.draw(st.booleans(), label="changed"):
+            index = data.draw(st.integers(0, len(table) - 1), label="index")
+            choices = [v for v in (0, 1, 2, F(1, 2)) if v != table[index]]
+            table[index] = data.draw(st.sampled_from(choices), label="value")
+    else:
+        table = data.draw(
+            st.lists(
+                st.sampled_from([0, 0, 1, 1, 2, 3]),
+                min_size=2**arity,
+                max_size=2**arity,
+            )
         )
-    )
     function = fn(arity, *table)
     flag, witness = is_product_type(function)
     assert flag == product_type_by_decomposition(table, arity)
     if flag:
         assert reconstruct_product_table(witness) == function.table
+
+
+@pytest.mark.parametrize("arity", range(2, 11))
+def test_full_support_product_tables_and_one_entry_changes(arity):
+    rng = random.Random(arity)
+    weights = [(F(rng.randint(1, 6), rng.randint(1, 4)), F(rng.randint(1, 6))) for _ in range(arity)]
+    table = []
+    for point in itertools.product((0, 1), repeat=arity):
+        value = F(3)
+        for column, side in enumerate(point):
+            value *= weights[column][side]
+        table.append(value)
+    flag, witness = is_product_type(fn(arity, *table))
+    assert flag and reconstruct_product_table(witness) == tuple(table)
+    # the origin, a single lowest-bit flip, the far corner and one more
+    for index in (0, 1, len(table) - 1, rng.randrange(len(table))):
+        for changed in (2 * table[index], F(0)):
+            perturbed = table[:index] + [changed] + table[index + 1 :]
+            assert is_product_type(fn(arity, *perturbed)) == (False, None), (index, changed)
 
 
 def test_product_type_exhaustive_binary_01_tables():
@@ -358,9 +388,14 @@ def test_a_pure_affine_reduction_builds_each_system_once(monkeypatch):
         built.append(relation.arity)
         return affine_system_of(relation)
 
+    def counting_coset(arity, origin, span):
+        built.append(arity)
+        return coset_system(arity, origin, span)
+
     classify._table_report.cache_clear()
-    # evaluation may take the system from either module; count both
-    monkeypatch.setattr(classify, "affine_system_of", counting)
+    # classification builds the system from the support's coset, and
+    # evaluation could rebuild it from the relation; count both
+    monkeypatch.setattr(classify, "coset_system", counting_coset)
     monkeypatch.setattr(tractable, "affine_system_of", counting)
     # odd parity of odd arity at level 3: pure affine, not flip-symmetric, so
     # pin elimination makes four evaluator calls

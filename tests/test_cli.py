@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,103 @@ def test_classify_output_matches_recorded_golden(tmp_path, monkeypatch, capsys):
     )
 
 
+WIDE_WEIGHTS = (1, 2, 3, Fraction(1, 2), Fraction(2, 3), 5)
+
+
+def _wide_product(rng, arity, pins, ties):
+    """Pins, ties (some complemented) and per-column weights on the rest."""
+    bit = lambda index, col: index >> (arity - 1 - col) & 1  # noqa: E731
+    cols = rng.sample(range(arity), arity)
+    pinned = {c: rng.randrange(2) for c in cols[:pins]}
+    reps = cols[pins : arity - ties]
+    tied = {c: (rng.choice(reps), rng.randrange(2)) for c in cols[arity - ties :]}
+    weights = {r: (rng.choice(WIDE_WEIGHTS), rng.choice(WIDE_WEIGHTS)) for r in reps}
+    scale = rng.choice(WIDE_WEIGHTS)
+    table = []
+    for index in range(1 << arity):
+        if any(bit(index, c) != v for c, v in pinned.items()) or any(
+            bit(index, c) != bit(index, r) ^ flip for c, (r, flip) in tied.items()
+        ):
+            table.append(Fraction(0))
+            continue
+        value = Fraction(scale)
+        for r in reps:
+            value *= weights[r][bit(index, r)]
+        table.append(value)
+    return table
+
+
+def _wide_coset(rng, arity):
+    origin = rng.randrange(1 << arity)
+    members = {origin}
+    for _ in range(rng.randint(1, arity - 1)):
+        vector = rng.randrange(1 << arity)
+        members |= {m ^ vector for m in members}
+    level = Fraction(rng.choice(WIDE_WEIGHTS))
+    return [level if i in members else Fraction(0) for i in range(1 << arity)]
+
+
+def _near_miss(rng, table, how):
+    table = list(table)
+    support = [i for i, v in enumerate(table) if v]
+    if how == "extra":  # one more support point
+        table[rng.choice([i for i, v in enumerate(table) if not v])] = Fraction(1)
+    else:
+        i = rng.choice(support)
+        table[i] = {"double": 2 * table[i], "zero": Fraction(0), "other": table[i] + 1}[how]
+    return table
+
+
+def _wide_catalog():
+    rng = random.Random(8121)
+    tables = {}
+    for arity in range(8, 13):
+        product = _wide_product(rng, arity, pins=2, ties=arity // 3)
+        coset = _wide_coset(rng, arity)
+        tables[f"product{arity}"] = product
+        tables[f"product{arity}-{arity % 2 and 'double' or 'zero'}"] = _near_miss(
+            rng, product, "double" if arity % 2 else "zero"
+        )
+        tables[f"coset{arity}"] = coset
+        tables[f"coset{arity}-{arity % 2 and 'other' or 'extra'}"] = _near_miss(
+            rng, coset, "other" if arity % 2 else "extra"
+        )
+    full = _wide_product(rng, 12, pins=0, ties=0)
+    tables["full12"] = full
+    tables["full12-double"] = _near_miss(rng, full, "double")
+    return {
+        "q": 2,
+        "functions": {
+            name: {"arity": len(table).bit_length() - 1, "table": [str(v) for v in table]}
+            for name, table in tables.items()
+        },
+    }
+
+
+def test_classify_output_on_wide_tables_matches_recorded_golden(tmp_path, monkeypatch, capsys):
+    # Arity 8-12 product-type tables with pins and complemented ties, pure
+    # affine cosets, and one-entry near misses of each.  The sha256 of the
+    # whole stdout was recorded before product type was decided on the
+    # support's coset.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "wide.json", json.dumps(_wide_catalog()))
+    assert cli.main(["classify", "wide.json"]) == 0
+    out = capsys.readouterr().out
+    reports = json.loads(out)["functions"]
+    product = {name for name, r in reports.items() if r["product_type"]}
+    affine = {name for name, r in reports.items() if r["pure_affine"]}
+    assert product >= {f"product{k}" for k in range(8, 13)} | {"full12"}
+    assert affine >= {f"coset{k}" for k in range(8, 13)}
+    assert not any("-" in name for name in product | affine)
+    witnesses = [reports[f"product{k}"]["witness"] for k in range(8, 13)]
+    assert all(w["constant_columns"] for w in witnesses)
+    assert any(flip for w in witnesses for c in w["classes"] for _, flip in c["members"])
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "00dc0d1b158abc71f9d1796020fba11c3c0ff81448baf7318c25ff7c98a84176"
+    )
+
+
 def test_eval_routes_and_values(tmp_path, capsys):
     path = write(tmp_path, "inst.json", XOR3_INSTANCE)
     code, report, _ = run(capsys, "eval", path)
@@ -158,6 +257,19 @@ def test_bad_budget_environment_value(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WCSP_BUDGET", "plenty")
     code, _, err = run(capsys, "eval", path, "--force-oracle")
     assert code == 2 and "WCSP_BUDGET" in err
+
+
+def test_forced_oracle_refuses_many_variables_without_computing_q_to_the_n(tmp_path, capsys):
+    # 3**(10**7) alone takes seconds; the refusal must not wait for it
+    path = write(tmp_path, "wide.json", '{"q":3,"n":10000000,"functions":{},"constraints":[]}')
+    started = time.perf_counter()
+    code, report, err = run(capsys, "eval", path, "--force-oracle")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert err == (
+        "wcsp: refused: enumeration of 3**10000000 weighted states exceeds the budget of "
+        f"{2**30}\n"
+    )
 
 
 def test_eval_emits_values_beyond_the_digit_limit(tmp_path, capsys):
