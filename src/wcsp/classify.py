@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
 from .errors import Refusal
@@ -217,20 +218,26 @@ def _product_witness(
         return None
 
     base = table[origin]
+    # Rows are compared as ints: with T the table times the lcm of its
+    # denominators, T[s] == T[s ^ mask] * ratio is T[s] * T[origin] ==
+    # T[s ^ mask] * T[origin ^ mask].
+    common = lcm(*(x.denominator for x in table))
+    scaled = [x.numerator * (common // x.denominator) for x in table]
     witness_classes = []
-    class_of_bit = {}  # column bit -> (class mask, class ratio)
+    class_of_bit = {}  # column bit -> (class mask, T[origin ^ class mask])
     for members in classes.values():
         mask = sum(1 << (k - 1 - col) for col, _ in members)
         ratio = table[origin ^ mask] / base
         for col, _ in members:
-            class_of_bit[1 << (k - 1 - col)] = mask, ratio
+            class_of_bit[1 << (k - 1 - col)] = mask, scaled[origin ^ mask]
         rep_side = origin >> (k - 1 - members[0][0]) & 1
         weights = (ratio, _ONE) if rep_side else (_ONE, ratio)
         witness_classes.append(TiedColumnClass(tuple(members), weights))
+    at_origin = scaled[origin]
     for index in support[1:]:  # support[0] is the origin
         differ = index ^ origin
-        mask, ratio = class_of_bit[differ & -differ]
-        if table[index] != table[index ^ mask] * ratio:
+        mask, at_flip = class_of_bit[differ & -differ]
+        if scaled[index] * at_origin != scaled[index ^ mask] * at_flip:
             return None
     return ProductWitness(k, tuple(constant_columns), tuple(witness_classes), base)
 

@@ -31,6 +31,11 @@ from .errors import InputError, Refusal
 #: ``conditioned_z``/``brute_force_z`` and the codewords of the code enumerator.
 DEFAULT_BUDGET = 2**30
 
+#: Largest ``n * log2(q)`` that ``tractable.evaluate`` accepts.  The value of
+#: an instance can reach ``q**n``; printing a 2**20-bit value takes about a
+#: second, and four times as many bits take more than ten.
+MAX_VALUE_BITS = 2**20
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _T = TypeVar("_T")
@@ -68,7 +73,7 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         raise InputError(
             f"{where}: expected an integer or 'num/den' string, got {type(value).__name__}"
         )
-    if result < 0:
+    if result.numerator < 0:
         raise InputError(f"{where}: negative weight {value!r} is not allowed")
     return result
 
@@ -155,7 +160,7 @@ class WeightFunction:
         for pos, entry in enumerate(self.table):
             if not isinstance(entry, Fraction):
                 raise InputError(f"table[{pos}]: expected Fraction, got {type(entry).__name__}")
-            if entry < 0:
+            if entry.numerator < 0:
                 raise InputError(f"table[{pos}]: negative weight {entry}")
 
     @classmethod
@@ -360,9 +365,17 @@ def _require_int(obj: object, where: str) -> int:
 
 
 def _parse_functions(obj: object, domain_size: int, where: str) -> dict[str, WeightFunction]:
+    """Parse a catalog of functions, each distinct entry text only once.
+
+    Tables repeat a few texts many times, so each JSON string or int parsed
+    by this call is kept with its ``Fraction``.  Only exact ``str`` and
+    ``int`` entries are kept: ``true`` and ``1.0`` equal ``1`` as dict keys,
+    and must still be rejected at their own index.
+    """
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object mapping names to functions")
     catalog: dict[str, WeightFunction] = {}
+    parsed: dict[str | int, Fraction] = {}
     for name, spec in obj.items():
         here = f"{where}.{name}"
         if not isinstance(spec, dict):
@@ -378,14 +391,50 @@ def _parse_functions(obj: object, domain_size: int, where: str) -> dict[str, Wei
         table_obj = spec["table"]
         if not isinstance(table_obj, list):
             raise InputError(f"{here}.table: expected a list")
-        table = tuple(
-            parse_rational(v, f"{here}.table[{i}]") for i, v in enumerate(table_obj)
-        )
+        table = []
+        for i, v in enumerate(table_obj):
+            kind = type(v)
+            if kind is str or kind is int:
+                value = parsed.get(v)
+                if value is None:
+                    value = parsed[v] = parse_rational(v, f"{here}.table[{i}]")
+            else:
+                # a boolean, float, null, list or object: always refused
+                value = parse_rational(v, f"{here}.table[{i}]")
+            table.append(value)
         try:
-            catalog[name] = WeightFunction(arity, domain_size, table)
+            catalog[name] = WeightFunction(arity, domain_size, tuple(table))
         except InputError as exc:
             raise InputError(f"{here}: {exc}") from exc
     return catalog
+
+
+def _constraint_from_obj(
+    spec: object, here: str, catalog: dict[str, WeightFunction], q: int
+) -> Constraint:
+    """One constraint, checked field by field; resolves a built-in name into ``catalog``."""
+    from .library import resolve_builtin  # deferred: library depends on this module
+
+    if not isinstance(spec, dict):
+        raise InputError(f"{here}: expected an object with 'f' and 'scope'")
+    unknown = set(spec) - {"f", "scope"}
+    if unknown:
+        raise InputError(f"{here}: unknown keys {sorted(unknown)}")
+    if "f" not in spec or "scope" not in spec:
+        raise InputError(f"{here}: missing 'f' or 'scope'")
+    name = spec["f"]
+    if not isinstance(name, str):
+        raise InputError(f"{here}.f: expected a function name string")
+    if name not in catalog:
+        builtin = resolve_builtin(name, q)
+        if builtin is None:
+            raise InputError(f"{here}.f: unknown function {name!r}")
+        catalog[name] = builtin
+    scope_obj = spec["scope"]
+    if not isinstance(scope_obj, list):
+        raise InputError(f"{here}.scope: expected a list of variable indices")
+    scope = tuple(_require_int(v, f"{here}.scope[{i}]") for i, v in enumerate(scope_obj))
+    return Constraint(name, scope)
 
 
 def instance_from_obj(obj: object) -> Instance:
@@ -409,31 +458,22 @@ def instance_from_obj(obj: object) -> Instance:
     constraints_obj = obj["constraints"]
     if not isinstance(constraints_obj, list):
         raise InputError("constraints: expected a list")
-    from .library import resolve_builtin  # deferred: library depends on this module
 
     constraints = []
     for pos, spec in enumerate(constraints_obj):
-        here = f"constraints[{pos}]"
-        if not isinstance(spec, dict):
-            raise InputError(f"{here}: expected an object with 'f' and 'scope'")
-        unknown = set(spec) - {"f", "scope"}
-        if unknown:
-            raise InputError(f"{here}: unknown keys {sorted(unknown)}")
-        if "f" not in spec or "scope" not in spec:
-            raise InputError(f"{here}: missing 'f' or 'scope'")
-        name = spec["f"]
-        if not isinstance(name, str):
-            raise InputError(f"{here}.f: expected a function name string")
-        if name not in catalog:
-            builtin = resolve_builtin(name, q)
-            if builtin is None:
-                raise InputError(f"{here}.f: unknown function {name!r}")
-            catalog[name] = builtin
-        scope_obj = spec["scope"]
-        if not isinstance(scope_obj, list):
-            raise InputError(f"{here}.scope: expected a list of variable indices")
-        scope = tuple(_require_int(v, f"{here}.scope[{i}]") for i, v in enumerate(scope_obj))
-        constraints.append(Constraint(name, scope))
+        # The common well-formed shape is checked in a few cheap tests;
+        # anything else is checked field by field, naming what is wrong.
+        if type(spec) is dict and len(spec) == 2:
+            name, scope_obj = spec.get("f"), spec.get("scope")
+            if (
+                type(name) is str
+                and name in catalog
+                and type(scope_obj) is list
+                and all(type(v) is int for v in scope_obj)
+            ):
+                constraints.append(Constraint(name, tuple(scope_obj)))
+                continue
+        constraints.append(_constraint_from_obj(spec, f"constraints[{pos}]", catalog, q))
     return Instance(n, q, catalog, tuple(constraints))
 
 

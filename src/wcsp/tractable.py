@@ -13,14 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import lcm, prod
+from math import ceil, lcm, log2, prod
 
 # is_pure_affine and affine_system_of are re-exported: perfbench/tracing.py
 # wraps them by name.
 from .classify import FamilyVerdict, Verdict, classify_family, is_pure_affine  # noqa: F401
 from .errors import Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions  # noqa: F401
-from .model import Instance, brute_force_z, tuple_to_index
+from .model import MAX_VALUE_BITS, Instance, brute_force_z, tuple_to_index
 
 _ZERO = Fraction(0)
 
@@ -306,9 +306,20 @@ def evaluate(
     some constraint uses are classified.  Hard families, and domains other
     than {0, 1}, go to bucket elimination, which refuses when its largest
     table exceeds the budget; the oracle refuses beyond ``q**n`` states.
+    Every other route refuses an instance whose ``n * log2(q)`` exceeds
+    ``MAX_VALUE_BITS``, before any per-variable storage or power of ``q``.
     """
     if force_oracle:
         return brute_force_z(instance, budget), "brute-force"
+    q, n = instance.domain_size, instance.num_variables
+    # log2(q) >= 1, so past the limit n alone decides (n * log2(q) might not
+    # even fit a float)
+    bits = n if n > MAX_VALUE_BITS else ceil(n * log2(q))
+    if bits > MAX_VALUE_BITS:
+        raise Refusal(
+            f"{q}**{n} assignments: the value can need {bits} bits or more, "
+            f"beyond the limit of {MAX_VALUE_BITS}"
+        )
     if instance.domain_size == 2:
         verdict = _classify_used(instance)
         if verdict.family is FamilyVerdict.PRODUCT_TYPE_FP:

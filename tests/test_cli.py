@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: reports, exit codes, file handling."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -8,12 +10,21 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import decimal_digits, ising_direct
 
 import wcsp.cli as cli
 from wcsp.generate import product_type_chain
 from wcsp.library import binary_disequality, delta
-from wcsp.model import Constraint, Instance, WeightFunction, instance_to_json, parse_instance
+from wcsp.model import (
+    MAX_VALUE_BITS,
+    Constraint,
+    Instance,
+    WeightFunction,
+    instance_to_json,
+    parse_instance,
+)
 from wcsp.models import Graph, hom_instance, ising_matrix
 
 XOR3_INSTANCE = (
@@ -270,6 +281,36 @@ def test_forced_oracle_refuses_many_variables_without_computing_q_to_the_n(tmp_p
         "wcsp: refused: enumeration of 3**10000000 weighted states exceeds the budget of "
         f"{2**30}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # used to exit 1 with a MemoryError from the union-find's lists
+        (
+            '{"q":2,"n":1000000000000,"functions":{},"constraints":[]}',
+            "2**1000000000000 assignments: the value can need 1000000000000 bits or more",
+        ),
+        # used to compute 3**(n - 1) for more than 100 s
+        (
+            '{"q":3,"n":100000000,"functions":{"u":{"arity":1,"table":[1,2,3]}},'
+            '"constraints":[{"f":"u","scope":[0]}]}',
+            "3**100000000 assignments: the value can need 100000000 bits or more",
+        ),
+        (
+            '{"q":3,"n":700000,"functions":{},"constraints":[]}',
+            "3**700000 assignments: the value can need 1109474 bits or more",
+        ),
+    ],
+    ids=["q2-n1e12", "q3-n1e8-unary", "q3-just-over"],
+)
+def test_eval_refuses_a_value_too_large_before_building_anything(tmp_path, capsys, text, message):
+    path = write(tmp_path, "huge.json", text)
+    started = time.perf_counter()
+    code, report, err = run(capsys, "eval", path)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert err == f"wcsp: refused: {message}, beyond the limit of {MAX_VALUE_BITS}\n"
 
 
 def test_eval_emits_values_beyond_the_digit_limit(tmp_path, capsys):
@@ -767,6 +808,235 @@ def test_gen_output_matches_recorded_digests(capsys, profile):
     assert digest.hexdigest() == GEN_DIGESTS[profile]
 
 
+# ---------------------------------------------------------------------------
+# parser diagnostics
+#
+# The exact stderr of `wcsp eval` on malformed instances, recorded before the
+# load path was rewritten for speed: every branch of the function, table,
+# constraint and scope checks, and the first bad occurrence in a table or
+# scope.  Only the file path is substituted.
+
+DIAGNOSTIC_GOLDENS = [
+    (
+        'boolean-entry',
+        '{"q":2,"n":3,"functions":{"f":{"arity":2,"table":[1,"1",true,1]}},"constraints":[{"f":"f","scope":[0]}]}',
+        'functions.f.table[2]: expected a rational, got a boolean',
+    ),
+    (
+        'boolean-after-one',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,true]}},"constraints":[{"f":"f","scope":[0]}]}',
+        'functions.f.table[1]: expected a rational, got a boolean',
+    ),
+    (
+        'negative-string',
+        '{"q":2,"n":3,"functions":{"f":{"arity":2,"table":["1","2","-3/4","-3/4"]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[2]: negative weight '-3/4' is not allowed",
+    ),
+    (
+        'negative-int',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[2,-1]}},"constraints":[{"f":"f","scope":[0]}]}',
+        'functions.f.table[1]: negative weight -1 is not allowed',
+    ),
+    (
+        'negative-denominator',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":["1/2","1/-2"]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[1]: negative weight '1/-2' is not allowed",
+    ),
+    (
+        'zero-denominator',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":["1"," 3/0 "]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[1]: zero denominator in ' 3/0 '",
+    ),
+    (
+        'float-entry',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,1.0]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[1]: expected an integer or 'num/den' string, got float",
+    ),
+    (
+        'null-entry',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[null,1]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[0]: expected an integer or 'num/den' string, got NoneType",
+    ),
+    (
+        'list-entry',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":["1",[1]]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[1]: expected an integer or 'num/den' string, got list",
+    ),
+    (
+        'not-a-rational',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":["1","one"]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f.table[1]: not a rational: 'one'",
+    ),
+    (
+        'wrong-table-length',
+        '{"q":2,"n":3,"functions":{"f":{"arity":2,"table":[1,2,3]}},"constraints":[{"f":"f","scope":[0]}]}',
+        'functions.f: table has 3 entries, expected 2**2 for arity 2 over domain 2',
+    ),
+    (
+        'table-not-a-list',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":"12"}},"constraints":[{"f":"f","scope":[0]}]}',
+        'functions.f.table: expected a list',
+    ),
+    (
+        'arity-boolean',
+        '{"q":2,"n":3,"functions":{"f":{"arity":true,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]}]}',
+        'functions.f.arity: expected an integer, got True',
+    ),
+    (
+        'function-not-an-object',
+        '{"q":2,"n":3,"functions":{"f":[1,2]},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f: expected an object with 'arity' and 'table'",
+    ),
+    (
+        'functions-not-an-object',
+        '{"q":2,"n":3,"functions":[],"constraints":[{"f":"f","scope":[0]}]}',
+        'functions: expected an object mapping names to functions',
+    ),
+    (
+        'function-unknown-key',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2],"note":"x"}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f: unknown keys ['note']",
+    ),
+    (
+        'function-missing-arity',
+        '{"q":2,"n":3,"functions":{"f":{"table":[1,2]}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f: missing 'arity'",
+    ),
+    (
+        'function-missing-table',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1}},"constraints":[{"f":"f","scope":[0]}]}',
+        "functions.f: missing 'table'",
+    ),
+    (
+        'instance-not-an-object',
+        '[1,2]',
+        'instance: expected a JSON object',
+    ),
+    (
+        'instance-unknown-key',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]}],"comment":"x"}',
+        "instance: unknown keys ['comment']",
+    ),
+    (
+        'instance-missing-key',
+        '{"q":2,"n":3,"functions":{}}',
+        "instance: missing key 'constraints'",
+    ),
+    (
+        'q-not-an-integer',
+        '{"q":"2","n":3,"functions":{},"constraints":[]}',
+        "q: expected an integer, got '2'",
+    ),
+    (
+        'n-boolean',
+        '{"q":2,"n":false,"functions":{},"constraints":[]}',
+        'n: expected an integer, got False',
+    ),
+    (
+        'negative-n',
+        '{"q":2,"n":-1,"functions":{},"constraints":[]}',
+        'negative variable count -1',
+    ),
+    (
+        'domain-below-two',
+        '{"q":1,"n":1,"functions":{},"constraints":[]}',
+        'domain size must be at least 2, got 1',
+    ),
+    (
+        'constraints-not-a-list',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":{}}',
+        'constraints: expected a list',
+    ),
+    (
+        'constraint-not-an-object',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]},["f",[1]]]}',
+        "constraints[1]: expected an object with 'f' and 'scope'",
+    ),
+    (
+        'constraint-unknown-key',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0],"w":2}]}',
+        "constraints[0]: unknown keys ['w']",
+    ),
+    (
+        'constraint-missing-scope',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f"}]}',
+        "constraints[0]: missing 'f' or 'scope'",
+    ),
+    (
+        'constraint-name-not-a-string',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":["f"],"scope":[0]}]}',
+        'constraints[0].f: expected a function name string',
+    ),
+    (
+        'unknown-function',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]},{"f":"g","scope":[1]}]}',
+        "constraints[1].f: unknown function 'g'",
+    ),
+    (
+        'bad-builtin-unary',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"unary:-1","scope":[0]}]}',
+        "unary:-1: negative weight '-1' is not allowed",
+    ),
+    (
+        'scope-not-a-list',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":0}]}',
+        'constraints[0].scope: expected a list of variable indices',
+    ),
+    (
+        'boolean-in-scope',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]},{"f":"eq","scope":[1,true]}]}',
+        'constraints[1].scope[1]: expected an integer, got True',
+    ),
+    (
+        'string-in-scope',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"eq","scope":["0",1]}]}',
+        "constraints[0].scope[0]: expected an integer, got '0'",
+    ),
+    (
+        'float-in-scope',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"eq","scope":[0,1.0]}]}',
+        'constraints[0].scope[1]: expected an integer, got 1.0',
+    ),
+    (
+        'variable-out-of-range',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]},{"f":"eq","scope":[2,3]}]}',
+        'constraints[1]: variable 3 out of range',
+    ),
+    (
+        'first-of-several-out-of-range',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"eq","scope":[1,2]},{"f":"xor3","scope":[1,7,-2]}]}',
+        'constraints[1]: variable 7 out of range',
+    ),
+    (
+        'negative-variable',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"eq","scope":[1,-1]}]}',
+        'constraints[0]: variable -1 out of range',
+    ),
+    (
+        'arity-mismatch',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[0]},{"f":"f","scope":[0,1]}]}',
+        "constraints[1]: scope length 2 != arity 1 of 'f'",
+    ),
+    (
+        'empty-scope-for-unary',
+        '{"q":2,"n":3,"functions":{"f":{"arity":1,"table":[1,2]}},"constraints":[{"f":"f","scope":[]}]}',
+        "constraints[0]: scope length 0 != arity 1 of 'f'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [case[1:] for case in DIAGNOSTIC_GOLDENS],
+    ids=[case[0] for case in DIAGNOSTIC_GOLDENS],
+)
+def test_parser_diagnostics_match_recorded_goldens(tmp_path, capsys, text, message):
+    path = write(tmp_path, "case.json", text)
+    code, report, err = run(capsys, "eval", path)
+    assert code == 2 and report is None
+    assert err == f"wcsp: {path}: {message}\n"
+
+
 HUGE_INT = "9" * 5000  # beyond the interpreter's 4300-digit conversion limit
 DEEP = "[" * 100000 + "]" * 100000
 
@@ -801,3 +1071,90 @@ def test_reduce_without_subcommand_prints_usage(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "usage" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+
+_EXTREME_INTS = st.one_of(
+    st.sampled_from([-1, 0, 1, 2, 3, 10**12, 2**64]),
+    st.just(4000).map(lambda digits: 10**digits),  # under the 4300-digit limit
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["f", "x"]), st.integers(0, 2), max_size=2),
+    _EXTREME_INTS,
+)
+_ENTRIES = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from(["0", "1", " 2 ", "1/2", "2/4", "0/0", "1/-2", "-1", "x", "", "1e3"]),
+    _JUNK,
+)
+_NAMES = st.sampled_from(["f", "g", "eq", "neq", "xor3", "delta1", "unary:2", "unary:-1", "?"])
+_FUNCTION = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "arity": st.one_of(st.integers(0, 3), _JUNK),
+            "table": st.one_of(st.lists(_ENTRIES, max_size=9), _JUNK),
+        },
+        optional={"extra": _JUNK},
+    ),
+    _JUNK,
+)
+_CONSTRAINT = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "f": st.one_of(_NAMES, _JUNK),
+            "scope": st.one_of(st.lists(st.one_of(st.integers(-1, 6), _JUNK), max_size=3), _JUNK),
+        },
+        optional={"w": _JUNK},
+    ),
+    _JUNK,
+)
+_FIELDS = {
+    "q": st.one_of(st.integers(1, 4), _EXTREME_INTS, _JUNK),
+    "n": st.one_of(st.integers(0, 7), _EXTREME_INTS, _JUNK),
+    "functions": st.one_of(st.dictionaries(_NAMES, _FUNCTION, max_size=3), _JUNK),
+    "constraints": st.one_of(st.lists(_CONSTRAINT, max_size=4), _JUNK),
+}
+_INSTANCE = st.one_of(
+    st.fixed_dictionaries(_FIELDS, optional={"extra": _JUNK}),
+    st.fixed_dictionaries({}, optional=_FIELDS),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(_INSTANCE, _JUNK),
+    st.one_of(st.none(), st.integers(0, 200)),
+)
+@example({"q": 2, "n": 10**12, "functions": {}, "constraints": []}, None)
+@example(
+    {
+        "q": 3,
+        "n": 10**8,
+        "functions": {"u": {"arity": 1, "table": [1, 2, 3]}},
+        "constraints": [{"f": "u", "scope": [0]}],
+    },
+    None,
+)
+def test_eval_keeps_the_exit_code_contract_on_hostile_input(tmp_path_factory, obj, cut):
+    # malformed and extreme JSON, or its text cut short: exit 0, 2 or 3, with
+    # a diagnostic for 2 and 3, and never an exception
+    text = json.dumps(obj)
+    if cut is not None:
+        text = text[:cut]
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", str(path)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("wcsp: ") and not out.getvalue()
+    else:
+        assert json.loads(out.getvalue())["command"] == "eval"

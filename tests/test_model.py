@@ -361,6 +361,72 @@ def test_parse_catalog():
     assert q == 2 and set(functions) == {"xor3"}
 
 
+MIXED_ENTRIES = [1, "1", " 1", "2/4", "1/2", 2, "2", 0, "0", "2/4", 1, " 1", "3/6"]
+
+
+def _catalog_text(*tables):
+    functions = ",".join(
+        '"f%d":{"arity":%d,"table":%s}' % (i, len(t).bit_length() - 1, json.dumps(t))
+        for i, t in enumerate(tables)
+    )
+    return '{"q":2,"functions":{%s}}' % functions
+
+
+def test_repeated_entries_parse_to_the_entry_by_entry_values(monkeypatch):
+    import wcsp.model as model
+
+    calls = []
+    real = model.parse_rational
+
+    def counting(value, where="value"):
+        calls.append(value)
+        return real(value, where)
+
+    monkeypatch.setattr(model, "parse_rational", counting)
+    table = MIXED_ENTRIES + MIXED_ENTRIES[:3]  # 16 entries
+    text = _catalog_text(table, table[::-1])
+    for _ in range(2):  # nothing parsed by one call is kept for the next
+        calls.clear()
+        _, functions = parse_catalog(text)
+        expected = tuple(real(v) for v in table)
+        assert functions["f0"].table == expected
+        assert functions["f1"].table == expected[::-1]
+        assert all(type(x) is F for x in functions["f0"].table + functions["f1"].table)
+        # one parse per distinct text or int, over both tables of the catalog
+        assert sorted(calls, key=repr) == sorted(
+            {(type(v), v): v for v in table}.values(), key=repr
+        )
+
+
+@pytest.mark.parametrize(
+    "bad, kind",
+    [
+        (True, "expected a rational, got a boolean"),
+        (False, "expected a rational, got a boolean"),
+        (1.0, "expected an integer or 'num/den' string, got float"),
+        (0.0, "expected an integer or 'num/den' string, got float"),
+    ],
+)
+@pytest.mark.parametrize("index", [0, 3, 12])
+def test_entries_equal_to_a_parsed_int_are_still_rejected(bad, kind, index):
+    # True == 1, False == 0 and 1.0 == 1 as dict keys; each must still be
+    # refused at its own index, whether or not 1 or 0 was parsed before it
+    table = list(MIXED_ENTRIES) + [1, 1, 1]
+    table[index] = bad
+    with pytest.raises(InputError) as caught:
+        parse_catalog(_catalog_text(table))
+    assert str(caught.value) == f"functions.f0.table[{index}]: {kind}"
+
+
+def test_a_bad_text_is_reported_at_its_first_occurrence():
+    table = ["1", "x", "2", "x", "-1", "1", "x", "1", "1", "1", "1", "1", "1", "1", "1", "1"]
+    with pytest.raises(InputError, match=r"^functions\.f0\.table\[1\]: not a rational: 'x'$"):
+        parse_catalog(_catalog_text(table))
+    table[1] = table[3] = table[6] = "3"
+    with pytest.raises(InputError, match=r"^functions\.f0\.table\[4\]: negative weight '-1'"):
+        parse_catalog(_catalog_text(table))
+
+
 # ---------------------------------------------------------------------------
 # builtin shorthand
 

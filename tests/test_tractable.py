@@ -19,7 +19,7 @@ from wcsp.library import (
     scale_function,
     unary_weight,
 )
-from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z
+from wcsp.model import MAX_VALUE_BITS, Constraint, Instance, WeightFunction, brute_force_z
 from wcsp.models import Graph, hom_instance, ising_matrix
 from wcsp.tractable import (
     ParityUnionFind,
@@ -350,6 +350,20 @@ def test_polynomial_routes_handle_sizes_enumeration_cannot():
     spread = parity_spread(300)
     value, route = evaluate(spread, budget=2**20)
     assert route == "pure-affine" and value > 0
+
+
+@pytest.mark.parametrize("q", [2, 4, 2**64])
+def test_evaluate_bounds_the_value_bits_at_the_limit(q):
+    bits_per_variable = q.bit_length() - 1
+    at_limit = _instance(q, MAX_VALUE_BITS // bits_per_variable, {}, [])
+    value, _ = evaluate(at_limit)
+    assert value == 2**MAX_VALUE_BITS
+    beyond = _instance(q, MAX_VALUE_BITS // bits_per_variable + 1, {}, [])
+    with pytest.raises(Refusal, match=rf"beyond the limit of {MAX_VALUE_BITS}$"):
+        evaluate(beyond)
+    # the enumeration oracle keeps its own budget and message
+    with pytest.raises(Refusal, match="^enumeration of"):
+        evaluate(beyond, force_oracle=True)
 
 
 def test_evaluate_trusts_its_own_pure_affine_verdict(monkeypatch):
