@@ -55,7 +55,8 @@ def is_affine_relation(relation: Relation) -> bool:
 
 
 def has_affine_support(fn: WeightFunction) -> bool:
-    return is_affine_relation(underlying_relation(fn))
+    """Whether the support is affine; an empty support counts as affine."""
+    return classify_function("", fn).affine_support
 
 
 def is_pure_affine(fn: WeightFunction) -> bool:
@@ -64,8 +65,7 @@ def is_pure_affine(fn: WeightFunction) -> bool:
     The identically-zero function is *not* pure affine (its support is empty),
     though it is product type.
     """
-    _require_boolean(fn, "pure affine test")
-    return len({value for value in fn.table if value}) == 1 and has_affine_support(fn)
+    return classify_function("", fn).pure_affine
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +178,7 @@ def is_product_type(fn: WeightFunction) -> tuple[bool, ProductWitness | None]:
     and each row must equal its parent row times one class ratio (see
     :func:`_product_witness`).
     """
-    _require_boolean(fn, "product type test")
-    support = fn.support_indices()
-    witness = _product_witness(fn, support, coset_of(support))
+    witness = classify_function("", fn).witness
     return witness is not None, witness
 
 

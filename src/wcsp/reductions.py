@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial, isqrt
+from itertools import count, permutations, product
+from math import factorial, isqrt, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .classify import has_affine_support, is_pure_affine
+from .classify import classify_function
 from .errors import InputError, InvariantViolation, Refusal
 from .library import delta, full_disequality, parity_indicator, unary_weight
 from .model import (
@@ -183,6 +183,62 @@ def is_flip_symmetric(functions: Mapping[str, WeightFunction]) -> bool:
     return True
 
 
+def _split_pins(
+    instance: Instance,
+) -> tuple[dict[int, int], list[Constraint], dict[str, WeightFunction]] | None:
+    """The pinned values, the other constraints, and the catalog without pins.
+
+    A pin is a unary point mass: one non-zero entry, equal to 1, read off the
+    table itself.  Returns ``None`` when a variable is pinned to two values.
+    """
+    pin_values = {}
+    for name, fn in instance.functions.items():
+        if fn.arity == 1:
+            support = fn.support_indices()
+            if len(support) == 1 and fn.table[support[0]] == 1:
+                pin_values[name] = support[0]
+    pins: dict[int, int] = {}
+    remaining = []
+    for c in instance.constraints:
+        value = pin_values.get(c.function)
+        if value is None:
+            remaining.append(c)
+        elif pins.setdefault(c.scope[0], value) != value:
+            return None
+    family = {n: f for n, f in instance.functions.items() if n not in pin_values}
+    return pins, remaining, family
+
+
+def _relabel(
+    instance: Instance,
+    functions: dict[str, WeightFunction],
+    constraints: Iterable[Constraint],
+    image: Mapping[int, int],
+    base: int,
+) -> Instance:
+    """The constraints over new variable ids, with the given catalog.
+
+    Each variable in ``image`` goes to its image, an id below ``base``; every
+    other variable takes the next id from ``base`` in order of first use.  The
+    result has ``base + n - len(image)`` variables, so variables that no
+    constraint uses are counted but never listed.
+    """
+    label = dict(image)
+    fresh = count(base)
+    relabelled = []
+    for c in constraints:
+        for v in c.scope:
+            if v not in label:
+                label[v] = next(fresh)
+        relabelled.append(Constraint(c.function, tuple(label[v] for v in c.scope)))
+    return Instance(
+        base + instance.num_variables - len(image),
+        instance.domain_size,
+        functions,
+        tuple(relabelled),
+    )
+
+
 def pinning_reduce_boolean(instance: Instance, evaluator: Evaluator) -> Fraction:
     """Partition value of a Boolean instance whose pins are eliminated.
 
@@ -195,51 +251,19 @@ def pinning_reduce_boolean(instance: Instance, evaluator: Evaluator) -> Fraction
     """
     if instance.domain_size != 2:
         raise Refusal("pin elimination is only defined for domain size 2")
-    pins_to = {(_ONE, _ZERO): 0, (_ZERO, _ONE): 1}
-    pin_names = {
-        name: pins_to[fn.table]
-        for name, fn in instance.functions.items()
-        if fn.arity == 1 and fn.table in pins_to
-    }
-    pinned_vars: dict[int, set[int]] = {0: set(), 1: set()}
-    remaining = []
-    for c in instance.constraints:
-        if c.function in pin_names:
-            pinned_vars[pin_names[c.function]].add(c.scope[0])
-        else:
-            remaining.append(c)
-    if pinned_vars[0] & pinned_vars[1]:
+    split_pins = _split_pins(instance)
+    if split_pins is None:
         return _ZERO
-    family = {n: f for n, f in instance.functions.items() if n not in pin_names}
-    if not pinned_vars[0] and not pinned_vars[1]:
+    pins, remaining, family = split_pins
+    if not pins:
         return evaluator(
             Instance(instance.num_variables, 2, family, tuple(remaining))
         )
 
-    free = [
-        v
-        for v in range(instance.num_variables)
-        if v not in pinned_vars[0] and v not in pinned_vars[1]
-    ]
-
-    def build(rep_count: int) -> Instance:
-        # Representatives take ids 0..rep_count-1; free variables follow.
-        renumber = {v: rep_count + i for i, v in enumerate(free)}
-
-        def remap(v: int) -> int:
-            if v in pinned_vars[0]:
-                return 0
-            if v in pinned_vars[1]:
-                return rep_count - 1
-            return renumber[v]
-
-        constraints = tuple(
-            Constraint(c.function, tuple(remap(v) for v in c.scope)) for c in remaining
-        )
-        return Instance(rep_count + len(free), 2, family, constraints)
-
-    split = build(2)  # one representative per pinned value
-    merged = build(1)  # both pinned values share a single representative
+    # Representative 0 stands for the pinned zeros; in ``split`` the pinned
+    # ones get representative 1, in ``merged`` they share representative 0.
+    split = _relabel(instance, family, remaining, pins, 2)
+    merged = _relabel(instance, family, remaining, dict.fromkeys(pins, 0), 1)
     base_difference = evaluator(split) - evaluator(merged)
     if is_flip_symmetric(family):
         return base_difference / 2
@@ -479,9 +503,10 @@ def extract_unary(fn: WeightFunction) -> UnaryExtraction | PinRecursion:
     support = fn.support_indices()
     if not support:
         raise Refusal("unary extraction needs a non-empty support")
-    if not has_affine_support(fn):
+    report = classify_function("", fn)
+    if not report.affine_support:
         raise Refusal("unary extraction requires an affine support")
-    if is_pure_affine(fn):
+    if report.pure_affine:
         raise Refusal("the function is pure affine; there is no unary to extract")
 
     rows = [index_to_tuple(index, fn.arity, 2) for index in support]
@@ -602,22 +627,15 @@ def refines(finer: Partition, coarser: Partition) -> bool:
 def mobius_table(size: int) -> dict[Partition, int]:
     """Moebius numbers over the partition lattice ordered by refinement.
 
-    The all-singletons partition gets 1; every other partition gets minus the
-    sum over its strict refinements.  The single-block partition ends up at
+    The number of a partition is its Moebius value above the all-singletons
+    partition: the product over its blocks ``B`` of
+    ``(-1)**(|B|-1) * (|B|-1)!``.  The single-block partition gets
     ``(-1)**(size-1) * (size-1)!``.
     """
-    partitions = all_partitions(size)
-    table: dict[Partition, int] = {}
-    for theta in partitions:
-        if theta.num_blocks == size:
-            table[theta] = 1
-            continue
-        table[theta] = -sum(
-            table[eta]
-            for eta in partitions
-            if eta.num_blocks > theta.num_blocks and refines(eta, theta)
-        )
-    return table
+    return {
+        theta: prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in theta.blocks)
+        for theta in all_partitions(size)
+    }
 
 
 def mobius_pinning_reduce(
@@ -634,6 +652,9 @@ def mobius_pinning_reduce(
     and exactly one match is required.
     """
     q = instance.domain_size
+    # first, so that a domain too large for the lattice is refused before the
+    # q**q entries of the disequality table are built
+    table = mobius_table(q)
     diseq_table = full_disequality(q).table
     if constraint_index is None:
         matches = [
@@ -659,28 +680,19 @@ def mobius_pinning_reduce(
     base = tuple(
         c for i, c in enumerate(instance.constraints) if i != constraint_index
     )
+    catalog = dict(instance.functions)
+    if all(c.function != target.function for c in base):
+        del catalog[target.function]
 
-    table = mobius_table(q)
     total = _ZERO
-    for eta in all_partitions(q):
-        merge: dict[int, int] = {}
-        for block in eta.blocks:
-            representative = target.scope[block[0]]
-            for slot in block[1:]:
-                merge[target.scope[slot]] = representative
-        survivors = [v for v in range(instance.num_variables) if v not in merge]
-        renumber = {v: i for i, v in enumerate(survivors)}
-        constraints = tuple(
-            Constraint(
-                c.function, tuple(renumber[merge.get(v, v)] for v in c.scope)
-            )
-            for c in base
+    for eta, weight in table.items():
+        # the variables of each block of slots merge into the block's id
+        image = {
+            target.scope[slot]: i for i, block in enumerate(eta.blocks) for slot in block
+        }
+        total += weight * evaluator(
+            _relabel(instance, catalog, base, image, eta.num_blocks)
         )
-        catalog = dict(instance.functions)
-        if all(c.function != target.function for c in constraints):
-            del catalog[target.function]
-        merged_instance = Instance(len(survivors), q, catalog, constraints)
-        total += table[eta] * evaluator(merged_instance)
     return total
 
 
@@ -705,52 +717,32 @@ def symmetric_pinning_reduce_q(instance: Instance, evaluator: Evaluator) -> Frac
     so the Moebius-evaluated value divided by q! recovers the original.
     """
     q = instance.domain_size
-    delta_tables = {
-        tuple(_ONE if v == c else _ZERO for v in range(q)): c for c in range(q)
-    }
-    pin_names = {
-        name: delta_tables[fn.table]
-        for name, fn in instance.functions.items()
-        if fn.arity == 1 and fn.table in delta_tables
-    }
-    pinned: dict[int, int] = {}
-    remaining = []
-    for c in instance.constraints:
-        if c.function in pin_names:
-            value = pin_names[c.function]
-            var = c.scope[0]
-            if var in pinned and pinned[var] != value:
-                return _ZERO
-            pinned[var] = value
-        else:
-            remaining.append(c)
-    family = {n: f for n, f in instance.functions.items() if n not in pin_names}
-    if not pinned:
+    split_pins = _split_pins(instance)
+    if split_pins is None:
+        return _ZERO
+    pins, remaining, family = split_pins
+    if not pins:
         return evaluator(
             Instance(instance.num_variables, q, family, tuple(remaining))
         )
+    # refuses a domain too large for the lattice before the q! permutations
+    # of the symmetry test and the q**q disequality table
+    all_partitions(q)
     if not is_permutation_symmetric(family, q):
         raise Refusal(
             "pin elimination over a general domain needs a family symmetric "
             "under all domain permutations"
         )
 
-    free = [v for v in range(instance.num_variables) if v not in pinned]
-    renumber = {v: q + i for i, v in enumerate(free)}
-    constraints = [
-        Constraint(
-            c.function,
-            tuple(pinned[v] if v in pinned else renumber[v] for v in c.scope),
-        )
-        for c in remaining
-    ]
     diseq_name = _fresh_name("diseq", family)
     catalog = dict(family)
     catalog[diseq_name] = full_disequality(q)
-    constraints.append(Constraint(diseq_name, tuple(range(q))))
-    expanded = Instance(q + len(free), q, catalog, tuple(constraints))
-    # The appended constraint is passed by position: the family itself may
-    # contain a disequality-shaped function (e.g. binary inequality at q=2).
+    relabelled = _relabel(instance, catalog, remaining, pins, q)
+    # Appended after relabelling, which would rename its variables; and passed
+    # by position, since the family itself may contain a disequality-shaped
+    # function (e.g. binary inequality at q=2).
+    constraints = relabelled.constraints + (Constraint(diseq_name, tuple(range(q))),)
+    expanded = Instance(relabelled.num_variables, q, catalog, constraints)
     return (
         mobius_pinning_reduce(
             expanded, evaluator, constraint_index=len(constraints) - 1

@@ -313,6 +313,44 @@ def test_eval_refuses_a_value_too_large_before_building_anything(tmp_path, capsy
     assert err == f"wcsp: refused: {message}, beyond the limit of {MAX_VALUE_BITS}\n"
 
 
+@pytest.mark.parametrize(
+    "reduction, text, message",
+    [
+        # used to exit 1 with a MemoryError from a list over all n variables
+        (
+            "pin-vars",
+            '{"q":2,"n":1000000000,"functions":{},'
+            '"constraints":[{"f":"delta0","scope":[0]}]}',
+            "2**1000000001 assignments: the value can need 1000000001 bits or more, "
+            f"beyond the limit of {MAX_VALUE_BITS}",
+        ),
+        (
+            "mobius-pin",
+            '{"q":2,"n":1000000000,"functions":{},'
+            '"constraints":[{"f":"neq","scope":[0,1]}]}',
+            "2**1000000000 assignments: the value can need 1000000000 bits or more, "
+            f"beyond the limit of {MAX_VALUE_BITS}",
+        ),
+        # used to walk the 40**40 tuples of the disequality table
+        (
+            "mobius-pin",
+            '{"q":40,"n":1,"functions":{},"constraints":[]}',
+            "partition lattices are enforced up to domain size 6",
+        ),
+    ],
+    ids=["pin-vars-n1e9", "mobius-pin-n1e9", "mobius-pin-q40"],
+)
+def test_reductions_refuse_a_huge_instance_before_building_anything(
+    tmp_path, capsys, reduction, text, message
+):
+    path = write(tmp_path, "huge.json", text)
+    started = time.perf_counter()
+    code, report, err = run(capsys, "reduce", reduction, path)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert err == f"wcsp: refused: {message}\n"
+
+
 def test_eval_emits_values_beyond_the_digit_limit(tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
     n = 10000
@@ -1143,6 +1181,10 @@ _INSTANCE = st.one_of(
     None,
 )
 def test_eval_keeps_the_exit_code_contract_on_hostile_input(tmp_path_factory, obj, cut):
+    _check_exit_code_contract(tmp_path_factory, ["eval"], obj, cut)
+
+
+def _check_exit_code_contract(tmp_path_factory, command, obj, cut):
     # malformed and extreme JSON, or its text cut short: exit 0, 2 or 3, with
     # a diagnostic for 2 and 3, and never an exception
     text = json.dumps(obj)
@@ -1152,9 +1194,31 @@ def test_eval_keeps_the_exit_code_contract_on_hostile_input(tmp_path_factory, ob
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", str(path)])
+        code = cli.main([*command, str(path)])
     assert code in (0, 2, 3)
     if code:
         assert err.getvalue().startswith("wcsp: ") and not out.getvalue()
     else:
-        assert json.loads(out.getvalue())["command"] == "eval"
+        assert json.loads(out.getvalue())["command"] == " ".join(command)
+
+
+@pytest.mark.parametrize("reduction", ["pin-vars", "mobius-pin"])
+@settings(max_examples=300)
+@given(
+    st.one_of(_INSTANCE, _JUNK),
+    st.one_of(st.none(), st.integers(0, 200)),
+)
+@example(
+    {
+        "q": 2,
+        "n": 10**12,
+        "functions": {},
+        "constraints": [{"f": "delta0", "scope": [0]}, {"f": "neq", "scope": [0, 1]}],
+    },
+    None,
+)
+@example({"q": 40, "n": 1, "functions": {}, "constraints": []}, None)
+def test_reductions_keep_the_exit_code_contract_on_hostile_input(
+    tmp_path_factory, reduction, obj, cut
+):
+    _check_exit_code_contract(tmp_path_factory, ["reduce", reduction], obj, cut)

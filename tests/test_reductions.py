@@ -780,3 +780,45 @@ def test_symmetric_pinning_matches_conditioning(seed):
     assert symmetric_pinning_reduce_q(inst, brute_force_z) == conditioned_z(
         inst, pins.items()
     )
+
+
+# ---------------------------------------------------------------------------
+# cost of pin and merge reductions
+
+
+def test_reductions_count_but_never_list_unconstrained_variables():
+    import time
+
+    n = 10**12
+    seen = []
+
+    def spy(sub):
+        seen.append((sub.num_variables, sub.constraints))
+        return F(1)
+
+    started = time.perf_counter()
+    pinned = _instance(
+        2,
+        n,
+        {"neq": binary_disequality(), "delta1": delta(1)},
+        [("delta1", (n - 7,)), ("neq", (n - 1, n - 7))],
+    )
+    assert pinning_reduce_boolean(pinned, spy) == 0
+    # the pinned one is representative 1 (split) or 0 (merged); the other
+    # variable takes the next id
+    assert seen == [
+        (n + 1, (Constraint("neq", (2, 1)),)),
+        (n, (Constraint("neq", (1, 0)),)),
+    ]
+
+    seen.clear()
+    diseq = _instance(2, n, {"neq": full_disequality(2)}, [("neq", (n - 1, 3))])
+    assert mobius_pinning_reduce(diseq, spy) == 0
+    assert seen == [(n, ()), (n - 1, ())]
+
+    # a domain too large for the partition lattice is refused before the
+    # 40**40 entries of its disequality table
+    pin40 = _instance(40, 1, {"p": delta(0, 40)}, [("p", (0,))])
+    with pytest.raises(Refusal):
+        symmetric_pinning_reduce_q(pin40, spy)
+    assert time.perf_counter() - started < 1
