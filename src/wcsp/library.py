@@ -30,11 +30,6 @@ def unary_weight(w: Fraction) -> WeightFunction:
     return WeightFunction(1, 2, (_ONE, Fraction(w)))
 
 
-def constant(c: Fraction, domain_size: int = 2) -> WeightFunction:
-    """Arity-0 function with the single value ``c``."""
-    return WeightFunction(0, domain_size, (Fraction(c),))
-
-
 def binary_equality(domain_size: int = 2) -> WeightFunction:
     table = tuple(
         _ONE if x == y else _ZERO

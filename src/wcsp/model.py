@@ -11,7 +11,8 @@ Key conventions, used everywhere in the package:
   and negative inputs are rejected while parsing,
 * a tuple ``(x_1, ..., x_k)`` over domain ``{0..q-1}`` is stored at table index
   ``sum(x_i * q**(k-i))`` -- the first coordinate is the most significant,
-* every table access goes through :meth:`WeightFunction.lookup`,
+* :meth:`WeightFunction.lookup` reads a table at a validated tuple; the
+  evaluators and classifiers index ``table`` directly by that layout,
 * exhaustive enumeration refuses (rather than approximates) once the number of
   weighted states exceeds a configurable budget, ``2**30`` by default.
 """
@@ -175,7 +176,7 @@ class WeightFunction:
         return cls(arity, domain_size, table)
 
     def lookup(self, point: Sequence[int]) -> Fraction:
-        """Value at a domain tuple; the only sanctioned way to read the table."""
+        """Value at a domain tuple, checking its length and every coordinate."""
         if len(point) != self.arity:
             raise InputError(
                 f"lookup with {len(point)} coordinates on an arity-{self.arity} function"

@@ -331,6 +331,11 @@ def interpolation_polynomial(
         raise InputError(f"interpolation point must be positive and different from 1")
 
     occurrences = sum(1 for c in instance.constraints if c.function == unary_name)
+    if occurrences > MAX_INTERPOLATION_OCCURRENCES:
+        raise Refusal(
+            f"{unary_name!r} occurs {occurrences} times; interpolation is "
+            f"enforced up to {MAX_INTERPOLATION_OCCURRENCES} occurrences"
+        )
     probe_name = _fresh_name("probe_unary", instance.functions)
     values = []
     for copies in range(occurrences + 1):
@@ -546,6 +551,11 @@ def extract_unary_iterated(fn: WeightFunction) -> tuple[UnaryExtraction, int]:
 #: Partition-lattice operations are enforced up to this domain size (Bell(6)=203).
 MAX_PARTITION_DOMAIN = 6
 
+#: Interpolation is enforced up to this many occurrences m of the unary: it
+#: makes m + 1 evaluator calls on up to m*m probe constraints, then an exact
+#: (m+1) x (m+1) Vandermonde solve over rationals as large as point**(m*m).
+MAX_INTERPOLATION_OCCURRENCES = 64
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -585,11 +595,6 @@ class Partition:
         return Partition((tuple(range(size)),))
 
 
-def _canonical(blocks: list[list[int]]) -> Partition:
-    ordered = tuple(tuple(sorted(b)) for b in sorted(blocks, key=lambda b: min(b)))
-    return Partition(ordered)
-
-
 def all_partitions(size: int) -> list[Partition]:
     """Every set partition of ``{0..size-1}``, coarsest-last deterministic order."""
     if size < 1:
@@ -606,7 +611,9 @@ def all_partitions(size: int) -> list[Partition]:
                 updated.append([b + [element] if j == i else list(b) for j, b in enumerate(blocks)])
             updated.append([list(b) for b in blocks] + [[element]])
         found = updated
-    partitions = [_canonical(blocks) for blocks in found]
+    # each element joins an earlier block or opens a new one, so the blocks
+    # come out sorted and ordered by their first element
+    partitions = [Partition(tuple(map(tuple, blocks))) for blocks in found]
     partitions.sort(key=lambda p: (-p.num_blocks, p.blocks))
     return partitions
 
@@ -684,14 +691,29 @@ def mobius_pinning_reduce(
     if all(c.function != target.function for c in base):
         del catalog[target.function]
 
+    slots = {v: slot for slot, v in enumerate(target.scope)}
+    return _mobius_sum(instance, catalog, base, slots, table, evaluator)
+
+
+def _mobius_sum(
+    instance: Instance,
+    functions: dict[str, WeightFunction],
+    constraints: Sequence[Constraint],
+    slots: Mapping[int, int],
+    table: Mapping[Partition, int],
+    evaluator: Evaluator,
+) -> Fraction:
+    """Sum over the partitions eta of the slots of mu(eta) times the merged value.
+
+    For each eta, every variable in ``slots`` takes the id of the block of eta
+    holding its slot, and the other variables follow (see :func:`_relabel`).
+    """
     total = _ZERO
     for eta, weight in table.items():
-        # the variables of each block of slots merge into the block's id
-        image = {
-            target.scope[slot]: i for i, block in enumerate(eta.blocks) for slot in block
-        }
+        block_of = {slot: i for i, block in enumerate(eta.blocks) for slot in block}
+        image = {v: block_of[slot] for v, slot in slots.items()}
         total += weight * evaluator(
-            _relabel(instance, catalog, base, image, eta.num_blocks)
+            _relabel(instance, functions, constraints, image, eta.num_blocks)
         )
     return total
 
@@ -726,26 +748,13 @@ def symmetric_pinning_reduce_q(instance: Instance, evaluator: Evaluator) -> Frac
             Instance(instance.num_variables, q, family, tuple(remaining))
         )
     # refuses a domain too large for the lattice before the q! permutations
-    # of the symmetry test and the q**q disequality table
-    all_partitions(q)
+    # of the symmetry test
+    table = mobius_table(q)
     if not is_permutation_symmetric(family, q):
         raise Refusal(
             "pin elimination over a general domain needs a family symmetric "
             "under all domain permutations"
         )
-
-    diseq_name = _fresh_name("diseq", family)
-    catalog = dict(family)
-    catalog[diseq_name] = full_disequality(q)
-    relabelled = _relabel(instance, catalog, remaining, pins, q)
-    # Appended after relabelling, which would rename its variables; and passed
-    # by position, since the family itself may contain a disequality-shaped
-    # function (e.g. binary inequality at q=2).
-    constraints = relabelled.constraints + (Constraint(diseq_name, tuple(range(q))),)
-    expanded = Instance(relabelled.num_variables, q, catalog, constraints)
-    return (
-        mobius_pinning_reduce(
-            expanded, evaluator, constraint_index=len(constraints) - 1
-        )
-        / factorial(q)
-    )
+    # Each pinned variable's slot is its value: the Moebius sum over merges of
+    # the q slots counts the labellings whose q representatives are distinct.
+    return _mobius_sum(instance, family, remaining, pins, table, evaluator) / factorial(q)

@@ -20,7 +20,7 @@ from math import ceil, lcm, log2, prod
 from .classify import FamilyVerdict, Verdict, classify_family, is_pure_affine  # noqa: F401
 from .errors import Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions  # noqa: F401
-from .model import MAX_VALUE_BITS, Instance, brute_force_z, tuple_to_index
+from .model import MAX_VALUE_BITS, Instance, brute_force_z
 
 _ZERO = Fraction(0)
 
@@ -33,15 +33,16 @@ DEFAULT_TABLE_BUDGET = 2**24
 class ParityUnionFind:
     """Union-find over variables carrying a parity offset toward the root.
 
-    Uniting two variables with parity 1 declares them complementary; a cycle
-    whose parities contradict marks the class annihilated rather than raising.
+    Uniting two variables with parity 1 declares them complementary.
+    :meth:`union` returns ``False`` when a tie contradicts the earlier ones (a
+    parity cycle of odd weight), and ``classes`` counts the current classes.
     """
 
     def __init__(self, size: int) -> None:
         self.parent = list(range(size))
         self.rank = [0] * size
         self.offset = [0] * size  # parity relative to the parent link
-        self.dead = [False] * size  # meaningful at roots only
+        self.classes = size
 
     def find(self, v: int) -> tuple[int, int]:
         """Return (root, parity of v relative to the root), compressing paths."""
@@ -59,21 +60,21 @@ class ParityUnionFind:
             return root, self.offset[path[0]]
         return root, 0
 
-    def union(self, u: int, v: int, parity: int) -> None:
+    def union(self, u: int, v: int, parity: int) -> bool:
+        """Tie ``u`` to ``v`` with the given parity; ``False`` on a contradiction."""
         root_u, parity_u = self.find(u)
         root_v, parity_v = self.find(v)
         if root_u == root_v:
-            if parity_u ^ parity_v != parity:
-                self.dead[root_u] = True
-            return
+            return parity_u ^ parity_v == parity
         if self.rank[root_u] < self.rank[root_v]:
             root_u, root_v = root_v, root_u
             parity_u, parity_v = parity_v, parity_u
         self.parent[root_v] = root_u
         self.offset[root_v] = parity_u ^ parity_v ^ parity
-        self.dead[root_u] = self.dead[root_u] or self.dead[root_v]
         if self.rank[root_u] == self.rank[root_v]:
             self.rank[root_u] += 1
+        self.classes -= 1
+        return True
 
 
 def _tree_product(values: list[int]) -> int:
@@ -119,10 +120,24 @@ def _classify_used(instance: Instance) -> Verdict:
     )
 
 
-def _refuse(name: str, kind: str) -> Refusal:
-    return Refusal(
-        f"function {name!r} is not {kind}; call evaluate() to route the instance instead"
-    )
+def _witnesses(instance: Instance, kind: str, field: str) -> dict:
+    """The used functions' witnesses of one kind, by function name.
+
+    Refuses a domain other than {0, 1}, and the first used function whose
+    report has no ``field`` witness, pointing at :func:`evaluate`.
+    """
+    if instance.domain_size != 2:
+        raise Refusal(f"the {kind.replace(' ', '-')} evaluator handles domain size 2 only")
+    witnesses = {}
+    for report in _classify_used(instance).per_function.values():
+        witness = getattr(report, field)
+        if witness is None:
+            raise Refusal(
+                f"function {report.name!r} is not {kind}; "
+                "call evaluate() to route the instance instead"
+            )
+        witnesses[report.name] = witness
+    return witnesses
 
 
 def eval_product_type(instance: Instance) -> Fraction:
@@ -131,14 +146,7 @@ def eval_product_type(instance: Instance) -> Fraction:
     Runs on the product-type witnesses of the used functions, and refuses
     (pointing at :func:`evaluate`) when a used function has none.
     """
-    if instance.domain_size != 2:
-        raise Refusal("the product-type evaluator handles domain size 2 only")
-    witnesses = {}
-    for report in _classify_used(instance).per_function.values():
-        if report.witness is None:
-            raise _refuse(report.name, "product type")
-        witnesses[report.name] = report.witness
-
+    witnesses = _witnesses(instance, "product type", "witness")
     union = ParityUnionFind(instance.num_variables)
     scales: list[Fraction] = []
     # Factors for one side of one variable, 2 * variable + side, with factor
@@ -162,20 +170,18 @@ def eval_product_type(instance: Instance) -> Fraction:
                     sided.append(2 * rep_var + side)
                     factors.append(cls.weights[side])
             for col, complemented in cls.members[1:]:
-                union.union(rep_var, c.scope[col], 1 if complemented else 0)
+                if not union.union(rep_var, c.scope[col], 1 if complemented else 0):
+                    # a class with contradictory parities: both of its sums,
+                    # hence Z, are 0
+                    return _ZERO
 
-    # A merge carries the dead flag to the new root, so any flag means a root's
-    # class has contradictory parities: both of its sums, hence Z, are 0.
-    if any(union.dead):
-        return _ZERO
     sides: dict[int, tuple[list[Fraction], list[Fraction]]] = {}  # root -> factors
     for key, factor in zip(sided, factors):
         root, parity = union.find(key >> 1)
         if root not in sides:
             sides[root] = ([], [])
         sides[root][(key & 1) ^ parity].append(factor)
-    classes = sum(1 for v, parent in enumerate(union.parent) if v == parent)
-    free = classes - len(sides)  # unweighted classes each sum to 1 + 1
+    free = union.classes - len(sides)  # unweighted classes each sum to 1 + 1
     totals = [exact_product(low) + exact_product(high) for low, high in sides.values()]
     return exact_product([*scales, *totals, 1 << free])
 
@@ -188,13 +194,7 @@ def eval_pure_affine(instance: Instance) -> Fraction:
     the used functions' pure-affine witnesses; a used function without one
     is refused.
     """
-    if instance.domain_size != 2:
-        raise Refusal("the pure-affine evaluator handles domain size 2 only")
-    witnesses = {}
-    for report in _classify_used(instance).per_function.values():
-        if report.affine_witness is None:
-            raise _refuse(report.name, "pure affine")
-        witnesses[report.name] = report.affine_witness
+    witnesses = _witnesses(instance, "pure affine", "affine_witness")
 
     rows: list[tuple[int, int]] = []
     for c in instance.constraints:
@@ -214,12 +214,12 @@ def eval_pure_affine(instance: Instance) -> Fraction:
 def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
     """Exact partition function of any instance by bucket elimination.
 
-    Each constraint becomes a factor over its distinct variables (a repeated
-    variable is read through the table index), scaled to integers by the
-    common denominator of its table.  Variables are summed out in min-degree
-    order (Dechter, "Bucket elimination", 1999): eliminating one multiplies
-    the factors that mention it into a table over it and its current
-    neighbours.  The order, and so the largest such table, ``q**(width + 1)``
+    Each constraint becomes a factor over its scope, its table scaled to
+    integers by the table's common denominator; each position of a variable
+    repeated in a scope reads the same coordinate.  Variables are summed out
+    in min-degree order (Dechter, "Bucket elimination", 1999): eliminating one
+    multiplies the factors that mention it into a table over it and its
+    current neighbours.  The order, and so the largest such table, ``q**(width + 1)``
     entries, is fixed before any table is built, and the budget
     (``DEFAULT_TABLE_BUDGET`` when none is given) bounds that table.  Each
     table is built already summed over its variable, so no larger one is held.
@@ -227,11 +227,10 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
     """
     limit = DEFAULT_TABLE_BUDGET if budget is None else budget
     q = instance.domain_size
-    scopes = [tuple(dict.fromkeys(c.scope)) for c in instance.constraints]
     neighbours: dict[int, set[int]] = {}
-    for scope in scopes:
-        for v in scope:
-            neighbours.setdefault(v, set()).update(u for u in scope if u != v)
+    for c in instance.constraints:
+        for v in c.scope:
+            neighbours.setdefault(v, set()).update(u for u in c.scope if u != v)
     numerators = [q ** (instance.num_variables - len(neighbours))]
     heap = [(len(adjacent), v) for v, adjacent in neighbours.items()]
     heapify(heap)
@@ -262,17 +261,11 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
         else:
             numerators.append(table[0])
 
-    for c, scope in zip(instance.constraints, scopes):
+    for c in instance.constraints:
         table = instance.functions[c.function].table
-        if len(scope) < len(c.scope):
-            slots = [scope.index(v) for v in c.scope]
-            table = tuple(
-                table[tuple_to_index([point[s] for s in slots], q)]
-                for point in product(range(q), repeat=len(scope))
-            )
         denominator = lcm(*(x.denominator for x in table))
         denominators.append(denominator)
-        place(scope, [x.numerator * (denominator // x.denominator) for x in table])
+        place(c.scope, [x.numerator * (denominator // x.denominator) for x in table])
 
     for v, bucket in zip(order, buckets):
         # v is the last, least significant, coordinate of the bucket's table,

@@ -351,6 +351,32 @@ def test_reductions_refuse_a_huge_instance_before_building_anything(
     assert err == f"wcsp: refused: {message}\n"
 
 
+def _unary_occurrences(m):
+    # m unaries f = (1, 2), one on each of m variables
+    return json.dumps(
+        {
+            "q": 2,
+            "n": m,
+            "functions": {"f": {"arity": 1, "table": [1, 2]}},
+            "constraints": [{"f": "f", "scope": [v]} for v in range(m)],
+        }
+    )
+
+
+@pytest.mark.parametrize("m", [65, 200])
+def test_interpolation_refuses_too_many_occurrences_at_once(tmp_path, capsys, m):
+    # m = 200 ran past 120 s, in the Vandermonde solve, before the bound
+    path = write(tmp_path, "unaries.json", _unary_occurrences(m))
+    started = time.perf_counter()
+    code, report, err = run(capsys, "reduce", "interpolate", path, "--unary", "f", "--point", "3")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert err == (
+        f"wcsp: refused: 'f' occurs {m} times; interpolation is enforced up to "
+        "64 occurrences\n"
+    )
+
+
 def test_eval_emits_values_beyond_the_digit_limit(tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
     n = 10000
@@ -1184,9 +1210,10 @@ def test_eval_keeps_the_exit_code_contract_on_hostile_input(tmp_path_factory, ob
     _check_exit_code_contract(tmp_path_factory, ["eval"], obj, cut)
 
 
-def _check_exit_code_contract(tmp_path_factory, command, obj, cut):
+def _check_exit_code_contract(tmp_path_factory, command, obj, cut, options=()):
     # malformed and extreme JSON, or its text cut short: exit 0, 2 or 3, with
-    # a diagnostic for 2 and 3, and never an exception
+    # a diagnostic for 2 and 3, and never an exception; the options go
+    # between the command words and the path
     text = json.dumps(obj)
     if cut is not None:
         text = text[:cut]
@@ -1194,7 +1221,7 @@ def _check_exit_code_contract(tmp_path_factory, command, obj, cut):
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*command, str(path)])
+        code = cli.main([*command, *options, str(path)])
     assert code in (0, 2, 3)
     if code:
         assert err.getvalue().startswith("wcsp: ") and not out.getvalue()
@@ -1222,3 +1249,32 @@ def test_reductions_keep_the_exit_code_contract_on_hostile_input(
     tmp_path_factory, reduction, obj, cut
 ):
     _check_exit_code_contract(tmp_path_factory, ["reduce", reduction], obj, cut)
+
+
+@pytest.mark.parametrize("reduction", ["interpolate", "project"])
+@settings(max_examples=300)
+@given(
+    st.one_of(_INSTANCE, _JUNK),
+    st.one_of(st.none(), st.integers(0, 200)),
+)
+@example(json.loads(_unary_occurrences(200)), None)
+@example(
+    {
+        "q": 2,
+        "n": 10**12,
+        "functions": {"f": {"arity": 1, "table": [1, 0]}},
+        "constraints": [{"f": "f", "scope": [0]}, {"f": "neq", "scope": [0, 1]}],
+    },
+    None,
+)
+def test_interpolate_and_project_keep_the_exit_code_contract_on_hostile_input(
+    tmp_path_factory, reduction, obj, cut
+):
+    if reduction == "interpolate":
+        options = ["--unary", "f", "--point", "3"]
+    else:
+        # a valid preimage whose projection onto coordinate 0 is delta0
+        preimage = tmp_path_factory.getbasetemp() / "preimage.json"
+        preimage.write_text('{"q":2,"functions":{"g":{"arity":2,"table":[1,0,0,0]}}}')
+        options = ["--function", "f", "--preimage", str(preimage), "--coordinates", "0"]
+    _check_exit_code_contract(tmp_path_factory, ["reduce", reduction], obj, cut, options)

@@ -1,6 +1,7 @@
 """Instance reductions, each checked against the enumeration oracle."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from wcsp.model import (
     index_to_tuple,
 )
 from wcsp.reductions import (
+    MAX_INTERPOLATION_OCCURRENCES,
     Partition,
     PinRecursion,
     UnaryExtraction,
@@ -362,6 +364,25 @@ def test_interpolation_validation():
     denormalized = _instance(2, 1, {"v": fn(1, 2, 6)}, [("v", (0,))])
     with pytest.raises(Refusal):
         interpolation_polynomial(denormalized, "v", F(2), brute_force_z)
+
+
+def test_interpolation_refuses_too_many_occurrences_before_evaluating():
+    def unaries(m):
+        return _instance(2, m, {"u": unary_weight(F(2))}, [("u", (v,)) for v in range(m)])
+
+    # at the bound: Z(I; w) = (1 + w)**m, evaluated in closed form
+    m = MAX_INTERPOLATION_OCCURRENCES
+    coefficients = interpolation_polynomial(
+        unaries(m), "u", F(3), lambda inst: F(1 + 3 ** (len(inst.constraints) // m)) ** m
+    )
+    assert coefficients == [math.comb(m, k) for k in range(m + 1)]
+
+    def never(instance):
+        raise AssertionError("the evaluator ran before the refusal")
+
+    m = MAX_INTERPOLATION_OCCURRENCES + 1
+    with pytest.raises(Refusal, match=f"'u' occurs {m} times; .* up to {m - 1} occurrences"):
+        interpolation_polynomial(unaries(m), "u", F(3), never)
 
 
 @given(

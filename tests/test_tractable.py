@@ -45,18 +45,20 @@ def _instance(q, n, functions, constraints):
 
 def test_parity_union_find_tracks_complements():
     uf = ParityUnionFind(4)
-    uf.union(0, 1, 1)  # complementary
-    uf.union(1, 2, 0)  # equal
+    assert uf.classes == 4
+    assert uf.union(0, 1, 1)  # complementary
+    assert uf.union(1, 2, 0)  # equal
+    assert uf.classes == 2
     root0, p0 = uf.find(0)
     root2, p2 = uf.find(2)
     assert root0 == root2
     assert p0 ^ p2 == 1  # 0 and 2 end up complementary
-    assert not uf.dead[root0]
-    uf.union(0, 2, 0)  # contradicts: marks the class annihilated
-    assert uf.dead[uf.find(0)[0]]
+    assert uf.union(0, 2, 1)  # agrees with the ties so far
+    assert not uf.union(0, 2, 0)  # contradicts them
+    assert uf.classes == 2  # ties inside a class merge nothing
     # variable 3 is untouched
     root3, p3 = uf.find(3)
-    assert root3 == 3 and p3 == 0 and not uf.dead[3]
+    assert root3 == 3 and p3 == 0
 
 
 def test_parity_union_find_long_chain():
