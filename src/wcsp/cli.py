@@ -375,7 +375,7 @@ def _cmd_model_wenum(args: argparse.Namespace) -> int:
     if args.generator:
         generator = load_generator(args.generator)
     else:
-        generator = incidence_code(load_graph(args.graph))
+        generator = incidence_code(load_graph(args.graph), budget=_budget(args))
     value = weight_enumerator(generator, weight, budget=_budget(args))
     _emit(
         {

@@ -328,11 +328,7 @@ def weight_enumerator(
     """
     lam = Fraction(weight)
     dimension = generator.dimension
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if 1 << dimension > limit:
-        raise Refusal(
-            f"code has 2**{dimension} words, beyond the enumeration budget {limit}"
-        )
+    _check_word_count(dimension, budget)
     powers = [lam**w for w in range(generator.length + 1)]
     word = 0
     total = powers[0]
@@ -343,12 +339,22 @@ def weight_enumerator(
     return total
 
 
-def incidence_code(graph: Graph) -> GeneratorMatrix:
+def _check_word_count(dimension: int, budget: int | None) -> None:
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if 1 << dimension > limit:
+        raise Refusal(
+            f"code has 2**{dimension} words, beyond the enumeration budget {limit}"
+        )
+
+
+def incidence_code(graph: Graph, budget: int | None = None) -> GeneratorMatrix:
     """Cut-space generator of a connected graph: one row per non-root vertex.
 
     Column ``j`` is the j-th edge; the row of vertex ``v`` marks the edges
     incident to ``v``.  Dropping the last vertex leaves ``n - 1`` independent
-    rows, and the row span enumerates every edge cut exactly once.
+    rows, and the row span enumerates every edge cut exactly once.  Refuses,
+    as :func:`weight_enumerator` would, before building a row when the
+    ``2**(n - 1)`` words exceed the budget.
     """
     if graph.num_vertices < 2:
         raise InputError("the cut-space code needs at least two vertices")
@@ -356,6 +362,7 @@ def incidence_code(graph: Graph) -> GeneratorMatrix:
         raise InputError("the cut-space code needs at least one edge")
     if not is_connected(graph):
         raise Refusal("the cut-space code is only defined for connected graphs")
+    _check_word_count(graph.num_vertices - 1, budget)
     rows = []
     for v in range(graph.num_vertices - 1):
         mask = 0
@@ -370,7 +377,8 @@ def cut_identity_sides(
     graph: Graph, edge_weight: Fraction, budget: int | None = None
 ) -> tuple[Fraction, Fraction]:
     """Both sides of the cut identity: (code enumerator, two-spin value)."""
-    enumerator = weight_enumerator(incidence_code(graph), edge_weight, budget=budget)
+    code = incidence_code(graph, budget=budget)
+    enumerator = weight_enumerator(code, edge_weight, budget=budget)
     hom_value = eval_graph_hom(graph, ising_matrix(edge_weight), budget=budget)
     return enumerator, hom_value
 

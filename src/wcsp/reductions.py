@@ -242,12 +242,15 @@ def _relabel(
 def pinning_reduce_boolean(instance: Instance, evaluator: Evaluator) -> Fraction:
     """Partition value of a Boolean instance whose pins are eliminated.
 
-    Pin constraints (unary tables ``(1,0)`` / ``(0,1)``) are replaced by two
-    representative variables; the evaluator only ever sees pin-free instances.
-    For a flip-symmetric family the value is half the difference between the
-    distinct-representative and merged-representative instances; otherwise an
-    asymmetric table entry supplies a second equation and the two conditioned
-    sums are separated exactly.
+    Pin constraints (unary tables ``(1,0)`` / ``(0,1)``) are removed and each
+    pinned variable goes to the slot of its value; the evaluator only ever
+    sees pin-free instances.  Over the slots {0, 1} the Moebius sum of
+    :func:`_mobius_sum` is Z(two representatives) - Z(one shared
+    representative) = A + B, where A is the wanted value (representatives 0
+    and 1) and B the value with the two swapped.  A flip-symmetric family has
+    A = B, so the value is half the sum.  Otherwise an entry with
+    f(x) > f(negated x) adds a constraint ``f`` on two extra variables in
+    slots 0 and 1, whose Moebius sum f(x) A + f(negated x) B separates A.
     """
     if instance.domain_size != 2:
         raise Refusal("pin elimination is only defined for domain size 2")
@@ -255,41 +258,28 @@ def pinning_reduce_boolean(instance: Instance, evaluator: Evaluator) -> Fraction
     if split_pins is None:
         return _ZERO
     pins, remaining, family = split_pins
+    n = instance.num_variables
     if not pins:
-        return evaluator(
-            Instance(instance.num_variables, 2, family, tuple(remaining))
-        )
+        return evaluator(Instance(n, 2, family, tuple(remaining)))
 
-    # Representative 0 stands for the pinned zeros; in ``split`` the pinned
-    # ones get representative 1, in ``merged`` they share representative 0.
-    split = _relabel(instance, family, remaining, pins, 2)
-    merged = _relabel(instance, family, remaining, dict.fromkeys(pins, 0), 1)
-    base_difference = evaluator(split) - evaluator(merged)
-    if is_flip_symmetric(family):
-        return base_difference / 2
-
-    # Asymmetric family: find f and x with f(x) > f(negated x).
+    table = mobius_table(2)
+    base_difference = _mobius_sum(instance, family, remaining, pins, table, evaluator)
     for name, fn in family.items():
         full = (1 << fn.arity) - 1
         for index, value in enumerate(fn.table):
             mirror = fn.table[index ^ full]
             if value > mirror:
-                witness_scope = index_to_tuple(index, fn.arity, 2)
-                split_extra = Instance(
-                    split.num_variables,
-                    2,
-                    family,
-                    split.constraints + (Constraint(name, witness_scope),),
+                extra = Constraint(
+                    name, tuple(n + bit for bit in index_to_tuple(index, fn.arity, 2))
                 )
-                merged_extra = Instance(
-                    merged.num_variables,
-                    2,
-                    family,
-                    merged.constraints + (Constraint(name, (0,) * fn.arity),),
+                skewed = Instance(n + 2, 2, family, (*remaining, extra))
+                slots = {**pins, n: 0, n + 1: 1}
+                skew_difference = _mobius_sum(
+                    skewed, family, skewed.constraints, slots, table, evaluator
                 )
-                skew_difference = evaluator(split_extra) - evaluator(merged_extra)
                 return (skew_difference - mirror * base_difference) / (value - mirror)
-    raise InvariantViolation("family reported asymmetric but no witness entry exists")
+    # no entry outweighs its negation, so the family is flip-symmetric
+    return base_difference / 2
 
 
 # ---------------------------------------------------------------------------

@@ -796,6 +796,22 @@ def test_model_cut_check(tmp_path, capsys):
     assert code == 3 and "refused" in err
 
 
+@pytest.mark.parametrize("command", ["wenum", "cut-check"])
+def test_cut_space_code_is_refused_before_any_row_is_built(tmp_path, capsys, command):
+    # the 19999 rows of a 20000-vertex path took over 50 s to build before
+    # the word count was compared with the budget
+    n = 20000
+    edges = "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    graph = write(tmp_path, "path.txt", f"{n}\n{edges}")
+    started = time.perf_counter()
+    code, report, err = run(capsys, "model", command, "--graph", graph, "--lambda", "2")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert err == (
+        f"wcsp: refused: code has 2**{n - 1} words, beyond the enumeration budget {2**30}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify / gen / plumbing
 
@@ -1278,3 +1294,46 @@ def test_interpolate_and_project_keep_the_exit_code_contract_on_hostile_input(
         preimage.write_text('{"q":2,"functions":{"g":{"arity":2,"table":[1,0,0,0]}}}')
         options = ["--function", "f", "--preimage", str(preimage), "--coordinates", "0"]
     _check_exit_code_contract(tmp_path_factory, ["reduce", reduction], obj, cut, options)
+
+
+_VALUES = st.sampled_from([0, 1, 2, "1/2"])
+
+
+@st.composite
+def _valid_boolean_instances(draw):
+    """Small valid q = 2 instances over random tables, pins, f = (1, c) and neq."""
+    n = draw(st.integers(1, 6))
+    functions = {"f": {"arity": 1, "table": [1, draw(_VALUES)]}}
+    for name in draw(st.lists(st.sampled_from(["g", "h"]), unique=True)):
+        arity = draw(st.integers(1, 3))
+        table = draw(st.lists(_VALUES, min_size=2**arity, max_size=2**arity))
+        functions[name] = {"arity": arity, "table": table}
+    arities = {"delta0": 1, "delta1": 1, "neq": 2}
+    arities.update((name, spec["arity"]) for name, spec in functions.items())
+    constraints = [
+        {"f": name, "scope": draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))}
+        for name in draw(st.lists(st.sampled_from(sorted(arities)), max_size=6))
+        for k in [arities[name]]
+    ]
+    return {"q": 2, "n": n, "functions": functions, "constraints": constraints}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["pin-vars"], ["interpolate", "--unary", "f", "--point", "3"], ["mobius-pin"]],
+    ids=["pin-vars", "interpolate", "mobius-pin"],
+)
+@settings(max_examples=300)
+@given(_valid_boolean_instances())
+def test_reductions_verify_or_refuse_every_valid_boolean_instance(
+    tmp_path_factory, options, obj
+):
+    # a valid instance is never an input error (2) or a wrong value (4)
+    path = tmp_path_factory.getbasetemp() / "valid.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["reduce", *options, "--verify", str(path)])
+    assert code in (0, 3), err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["verified"] is True
