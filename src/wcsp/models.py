@@ -88,6 +88,10 @@ class Graph:
 def is_connected(graph: Graph) -> bool:
     if graph.num_vertices == 0:
         return True
+    # a connected graph has a spanning tree, so at least V - 1 edges; checked
+    # before the adjacency lists, which a huge sparse graph could not hold
+    if graph.num_edges < graph.num_vertices - 1:
+        return False
     adjacency = graph.neighbors()
     seen = {0}
     stack = [0]

@@ -6,12 +6,12 @@ cross-checked exactly against the enumeration oracle:
 
 * coordinate projection / pinning / merging of tables,
 * replacing a projected function by its preimage with fresh variables,
-* eliminating Boolean pins through distinct-representative instances,
 * recovering one unary weight by polynomial interpolation,
 * parity-of-k gadgets over ternary parity and a zero pin,
 * symmetrization of parity-supported ternary functions,
 * unary extraction from affine-supported, non-pure-affine functions,
-* Moebius inversion over the partition lattice for q-ary pins.
+* Moebius inversion over the partition lattice, which removes a full
+  disequality or the pins of any domain size (Boolean pins are its q = 2 case).
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .classify import classify_function
 from .errors import InputError, InvariantViolation, Refusal
-from .library import delta, full_disequality, parity_indicator, unary_weight
+from .library import delta, parity_indicator, unary_weight
 from .model import (
+    MAX_VALUE_BITS,
     Constraint,
     Instance,
     WeightFunction,
     index_to_tuple,
+    tuple_to_index,
 )
 from .models import row_reduce
 
@@ -168,18 +170,16 @@ def simulate_projection(
 
 
 # ---------------------------------------------------------------------------
-# Boolean pin elimination
+# pins and relabelling
 # ---------------------------------------------------------------------------
 
 def is_flip_symmetric(functions: Mapping[str, WeightFunction]) -> bool:
-    """True when every function is invariant under negating all arguments."""
+    """True when no table changes under negating all arguments, which reverses it."""
     for fn in functions.values():
         if fn.domain_size != 2:
             raise Refusal("flip symmetry is only defined for domain size 2")
-        full = (1 << fn.arity) - 1
-        for index, value in enumerate(fn.table):
-            if value != fn.table[index ^ full]:
-                return False
+        if fn.table != fn.table[::-1]:
+            return False
     return True
 
 
@@ -240,46 +240,10 @@ def _relabel(
 
 
 def pinning_reduce_boolean(instance: Instance, evaluator: Evaluator) -> Fraction:
-    """Partition value of a Boolean instance whose pins are eliminated.
-
-    Pin constraints (unary tables ``(1,0)`` / ``(0,1)``) are removed and each
-    pinned variable goes to the slot of its value; the evaluator only ever
-    sees pin-free instances.  Over the slots {0, 1} the Moebius sum of
-    :func:`_mobius_sum` is Z(two representatives) - Z(one shared
-    representative) = A + B, where A is the wanted value (representatives 0
-    and 1) and B the value with the two swapped.  A flip-symmetric family has
-    A = B, so the value is half the sum.  Otherwise an entry with
-    f(x) > f(negated x) adds a constraint ``f`` on two extra variables in
-    slots 0 and 1, whose Moebius sum f(x) A + f(negated x) B separates A.
-    """
+    """The q = 2 case of :func:`symmetric_pinning_reduce_q`, for any Boolean family."""
     if instance.domain_size != 2:
         raise Refusal("pin elimination is only defined for domain size 2")
-    split_pins = _split_pins(instance)
-    if split_pins is None:
-        return _ZERO
-    pins, remaining, family = split_pins
-    n = instance.num_variables
-    if not pins:
-        return evaluator(Instance(n, 2, family, tuple(remaining)))
-
-    table = mobius_table(2)
-    base_difference = _mobius_sum(instance, family, remaining, pins, table, evaluator)
-    for name, fn in family.items():
-        full = (1 << fn.arity) - 1
-        for index, value in enumerate(fn.table):
-            mirror = fn.table[index ^ full]
-            if value > mirror:
-                extra = Constraint(
-                    name, tuple(n + bit for bit in index_to_tuple(index, fn.arity, 2))
-                )
-                skewed = Instance(n + 2, 2, family, (*remaining, extra))
-                slots = {**pins, n: 0, n + 1: 1}
-                skew_difference = _mobius_sum(
-                    skewed, family, skewed.constraints, slots, table, evaluator
-                )
-                return (skew_difference - mirror * base_difference) / (value - mirror)
-    # no entry outweighs its negation, so the family is flip-symmetric
-    return base_difference / 2
+    return symmetric_pinning_reduce_q(instance, evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +339,19 @@ def parity_chain(width: int) -> Instance:
     Variables ``0..width-1`` are the primary inputs; auxiliaries follow.  Every
     odd-parity primary tuple extends to exactly one satisfying assignment and
     even-parity tuples to none, so the gadget has ``2**(width-1)`` satisfying
-    assignments.
+    assignments.  Refuses, before building any list, a chain whose variable
+    count exceeds ``MAX_VALUE_BITS``, as evaluating it would.
     """
     if width < 1:
         raise InputError(f"parity chain needs at least one input, got {width}")
+    # each split adds three variables and hands its two halves width + 2
+    # inputs between them, so the chain has max(3, 4 * width - 9) variables
+    variables = max(3, 4 * width - 9)
+    if variables > MAX_VALUE_BITS:
+        raise Refusal(
+            f"a parity chain of width {width} has 2**{variables} assignments: the "
+            f"value can need {variables} bits or more, beyond the limit of {MAX_VALUE_BITS}"
+        )
     constraints: list[Constraint] = []
     counter = width
 
@@ -650,15 +623,20 @@ def mobius_pinning_reduce(
     """
     q = instance.domain_size
     # first, so that a domain too large for the lattice is refused before the
-    # q**q entries of the disequality table are built
+    # q! permutations are listed
     table = mobius_table(q)
-    diseq_table = full_disequality(q).table
+    # the full disequality has arity q and is 1 at the q! permutations, else 0
+    permutation_points = [tuple_to_index(p, q) for p in permutations(range(q))]
+    disequalities = {
+        name
+        for name, fn in instance.functions.items()
+        if fn.arity == q
+        and all(fn.table[i] == 1 for i in permutation_points)
+        and sum(map(bool, fn.table)) == len(permutation_points)
+    }
     if constraint_index is None:
         matches = [
-            i
-            for i, c in enumerate(instance.constraints)
-            if instance.functions[c.function].arity == q
-            and instance.functions[c.function].table == diseq_table
+            i for i, c in enumerate(instance.constraints) if c.function in disequalities
         ]
         if len(matches) != 1:
             raise Refusal(
@@ -668,7 +646,7 @@ def mobius_pinning_reduce(
     if not 0 <= constraint_index < len(instance.constraints):
         raise InputError(f"constraint index {constraint_index} out of range")
     target = instance.constraints[constraint_index]
-    if instance.functions[target.function].table != diseq_table:
+    if target.function not in disequalities:
         raise Refusal(
             f"constraint {constraint_index} is not the full-disequality function"
         )
@@ -722,29 +700,46 @@ def is_permutation_symmetric(
 
 
 def symmetric_pinning_reduce_q(instance: Instance, evaluator: Evaluator) -> Fraction:
-    """Eliminate q-ary value pins from a fully symmetric family.
+    """Eliminate value pins; the evaluator only ever sees pin-free instances.
 
-    All pinned variables collapse onto q representatives tied by one full
-    disequality; symmetry makes every distinct labelling contribute equally,
-    so the Moebius-evaluated value divided by q! recovers the original.
+    Each pinned variable goes to the slot of its value, and the Moebius sum of
+    :func:`_mobius_sum` over the q slots counts the labellings whose q
+    representatives are distinct: the wanted value A and its images under the
+    other q! - 1 domain permutations.  A family symmetric under all of them
+    gives q! A; for q > 2 no other family is accepted.  At q = 2 an entry with
+    f(x) > f(negated x) adds a constraint ``f`` on two extra variables in slots
+    0 and 1, whose sum f(x) A + f(negated x) B separates A from the value B
+    with 0 and 1 swapped.
     """
     q = instance.domain_size
     split_pins = _split_pins(instance)
     if split_pins is None:
         return _ZERO
     pins, remaining, family = split_pins
+    n = instance.num_variables
     if not pins:
-        return evaluator(
-            Instance(instance.num_variables, q, family, tuple(remaining))
-        )
+        return evaluator(Instance(n, q, family, tuple(remaining)))
     # refuses a domain too large for the lattice before the q! permutations
     # of the symmetry test
     table = mobius_table(q)
-    if not is_permutation_symmetric(family, q):
+    if q > 2 and not is_permutation_symmetric(family, q):
         raise Refusal(
             "pin elimination over a general domain needs a family symmetric "
             "under all domain permutations"
         )
-    # Each pinned variable's slot is its value: the Moebius sum over merges of
-    # the q slots counts the labellings whose q representatives are distinct.
-    return _mobius_sum(instance, family, remaining, pins, table, evaluator) / factorial(q)
+    base = _mobius_sum(instance, family, remaining, pins, table, evaluator)
+    if q == 2:
+        for name, fn in family.items():
+            # the negated point of index x sits at index 2**arity - 1 - x
+            for index, (value, mirror) in enumerate(zip(fn.table, reversed(fn.table))):
+                if value > mirror:
+                    extra = Constraint(
+                        name, tuple(n + bit for bit in index_to_tuple(index, fn.arity, 2))
+                    )
+                    skewed = Instance(n + 2, 2, family, (*remaining, extra))
+                    slots = {**pins, n: 0, n + 1: 1}
+                    skew = _mobius_sum(
+                        skewed, family, skewed.constraints, slots, table, evaluator
+                    )
+                    return (skew - mirror * base) / (value - mirror)
+    return base / factorial(q)

@@ -4,10 +4,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -702,6 +705,16 @@ def test_reduce_parity_chain(capsys):
     assert report["evaluator"] == "pure-affine"
     assert report["instance"]["q"] == 2
 
+    # width 10**6 built 4M variables in 10 s before evaluate refused them
+    started = time.perf_counter()
+    code, report, err = run(capsys, "reduce", "parity-chain", "--width", str(10**6))
+    assert time.perf_counter() - started < 1
+    assert code == 3 and report is None
+    assert err == (
+        f"wcsp: refused: a parity chain of width {10**6} has 2**3999991 assignments: "
+        f"the value can need 3999991 bits or more, beyond the limit of {MAX_VALUE_BITS}\n"
+    )
+
 
 def test_reduce_mobius_pin(tmp_path, capsys):
     instance = (
@@ -809,6 +822,31 @@ def test_cut_space_code_is_refused_before_any_row_is_built(tmp_path, capsys, com
     assert code == 3 and report is None
     assert err == (
         f"wcsp: refused: code has 2**{n - 1} words, beyond the enumeration budget {2**30}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["wenum", "cut-check"])
+def test_huge_sparse_graph_is_refused_without_adjacency_lists(tmp_path, command):
+    # the 10**8 adjacency sets of a one-edge graph ended in a MemoryError; a
+    # child process under a 1 GiB address-space cap fails fast instead of
+    # exhausting the machine
+    graph = write(tmp_path, "sparse.json", '{"vertices": 100000000, "edges": [[0, 1]]}')
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import wcsp.cli\n"
+        "sys.exit(wcsp.cli.main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, "model", command, "--graph", graph, "--lambda", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        timeout=60,
+    )
+    assert result.returncode == 3 and not result.stdout
+    assert result.stderr == (
+        "wcsp: refused: the cut-space code is only defined for connected graphs\n"
     )
 
 
@@ -1207,12 +1245,17 @@ _INSTANCE = st.one_of(
 )
 
 
+_ORACLE_BUDGETS = [0, -1, 2**64, 10**4000]
+_NEQ_PAIR = {"q": 2, "n": 3, "functions": {}, "constraints": [{"f": "neq", "scope": [0, 1]}]}
+
+
 @settings(max_examples=300)
 @given(
     st.one_of(_INSTANCE, _JUNK),
     st.one_of(st.none(), st.integers(0, 200)),
+    st.one_of(st.none(), st.sampled_from(_ORACLE_BUDGETS)),
 )
-@example({"q": 2, "n": 10**12, "functions": {}, "constraints": []}, None)
+@example({"q": 2, "n": 10**12, "functions": {}, "constraints": []}, None, None)
 @example(
     {
         "q": 3,
@@ -1221,9 +1264,18 @@ _INSTANCE = st.one_of(
         "constraints": [{"f": "u", "scope": [0]}],
     },
     None,
+    None,
 )
-def test_eval_keeps_the_exit_code_contract_on_hostile_input(tmp_path_factory, obj, cut):
-    _check_exit_code_contract(tmp_path_factory, ["eval"], obj, cut)
+@example(_NEQ_PAIR, None, 0)
+@example(_NEQ_PAIR, None, -1)
+@example(_NEQ_PAIR, None, 2**64)
+@example(_NEQ_PAIR, None, 10**4000)
+def test_eval_keeps_the_exit_code_contract_on_hostile_input(
+    tmp_path_factory, obj, cut, budget
+):
+    # without a budget, the default route; with one, the enumeration oracle
+    options = () if budget is None else ("--force-oracle", "--budget", str(budget))
+    _check_exit_code_contract(tmp_path_factory, ["eval"], obj, cut, options)
 
 
 def _check_exit_code_contract(tmp_path_factory, command, obj, cut, options=()):

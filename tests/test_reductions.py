@@ -23,6 +23,7 @@ from wcsp.library import (
     unary_weight,
 )
 from wcsp.model import (
+    MAX_VALUE_BITS,
     Constraint,
     Instance,
     WeightFunction,
@@ -437,6 +438,18 @@ def test_parity_chain_each_odd_tuple_extends_uniquely():
 def test_parity_chain_validation():
     with pytest.raises(InputError):
         parity_chain(0)
+    # 4 * 262146 - 9 variables fit MAX_VALUE_BITS, as evaluate requires; one
+    # more input does not
+    assert 4 * 262146 - 9 <= MAX_VALUE_BITS < 4 * 262147 - 9
+    with pytest.raises(Refusal, match=rf"beyond the limit of {MAX_VALUE_BITS}$"):
+        parity_chain(262147)
+
+
+def test_parity_chain_variable_count():
+    # every width up to 256, then a sample up to 2000 (the full sweep takes
+    # about 16 s)
+    for width in [*range(1, 257), *range(257, 2001, 29), 2000]:
+        assert parity_chain(width).num_variables == max(3, 4 * width - 9), width
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +748,16 @@ def test_symmetric_pinning_boolean_example():
     assert symmetric_pinning_reduce_q(inst, brute_force_z) == 1
     assert pinning_reduce_boolean(inst, brute_force_z) == 1
 
+    # a family that is not flip-symmetric takes the skew sum at q = 2
+    skewed = _instance(
+        2,
+        2,
+        {"f": fn(2, 1, 3, 2, 6), "delta0": delta(0)},
+        [("delta0", (0,)), ("f", (0, 1))],
+    )
+    assert symmetric_pinning_reduce_q(skewed, brute_force_z) == 4  # 1 + 3
+    assert pinning_reduce_boolean(skewed, brute_force_z) == 4
+
 
 def test_symmetric_pinning_ternary_example():
     inst = _instance(
@@ -779,17 +802,23 @@ def test_symmetric_pinning_refuses_asymmetric_family():
         symmetric_pinning_reduce_q(inst, brute_force_z)
 
 
-@given(st.integers(0, 25))
+@given(st.integers(0, 60))
 def test_symmetric_pinning_matches_conditioning(seed):
     import random
 
     rng = random.Random(seed)
     q = rng.choice([2, 3])
     n = 3
-    functions = {"neq": binary_disequality(q)}
+    if q == 2 and rng.random() < 0.5:
+        # a random table, most often not flip-symmetric, which only the
+        # Boolean case accepts
+        body = fn(2, *(rng.choice([0, 1, 2, 3, 6]) for _ in range(4)))
+    else:
+        body = binary_disequality(q)
+    functions = {"f": body}
     constraints = []
     for _ in range(rng.randint(1, 3)):
-        constraints.append(("neq", tuple(rng.sample(range(n), 2))))
+        constraints.append(("f", tuple(rng.sample(range(n), 2))))
     pins = {}
     for var in rng.sample(range(n), rng.randint(1, 2)):
         pins[var] = rng.randrange(q)
