@@ -23,7 +23,7 @@ from math import lcm
 from typing import Mapping
 
 from .errors import Refusal
-from .gf2 import Gf2System, coset_of, coset_system
+from .gf2 import Gf2System, column_patterns, coset_of, coset_system
 from .model import Relation, WeightFunction, index_to_tuple
 
 _ZERO = Fraction(0)
@@ -201,10 +201,8 @@ def _product_witness(
     table = fn.table
     constant_columns = []
     classes: dict[int, list[tuple[int, bool]]] = {}  # pattern -> members
-    for col in range(k):
-        shift = k - 1 - col
-        pattern = sum((vec >> shift & 1) << j for j, vec in enumerate(span.values()))
-        side = origin >> shift & 1
+    for col, pattern in enumerate(column_patterns(k, span)):
+        side = origin >> (k - 1 - col) & 1
         if not pattern:
             constant_columns.append((col, side))
         elif pattern in classes:
@@ -263,14 +261,20 @@ class AffineWitness:
 
 @dataclass(frozen=True)
 class FunctionReport:
-    """Per-function flags; each witness is set exactly when its flag is."""
+    """Per-function verdicts: a tractable class holds exactly when its witness is set."""
 
     name: str
-    product_type: bool
-    pure_affine: bool
     affine_support: bool
     witness: ProductWitness | None
     affine_witness: AffineWitness | None
+
+    @property
+    def product_type(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def pure_affine(self) -> bool:
+        return self.affine_witness is not None
 
 
 @dataclass(frozen=True)
@@ -298,8 +302,6 @@ def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
     affine = AffineWitness(level, coset_system(fn.arity, *coset)) if pure else None
     return FunctionReport(
         name=name,
-        product_type=witness is not None,
-        pure_affine=affine is not None,
         affine_support=coset is not None or not support,
         witness=witness,
         affine_witness=affine,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InputError, Refusal
 
@@ -267,6 +267,14 @@ class Instance:
             for v in c.scope:
                 if not 0 <= v < self.num_variables:
                     raise InputError(f"constraints[{pos}]: variable {v} out of range")
+
+
+def used_functions(
+    functions: Mapping[str, WeightFunction], constraints: Iterable[Constraint]
+) -> dict[str, WeightFunction]:
+    """The catalog entries that some constraint applies, in catalog order."""
+    used = {c.function for c in constraints}
+    return {name: fn for name, fn in functions.items() if name in used}
 
 
 def brute_force_z(instance: Instance, budget: int | None = None) -> Fraction:

@@ -32,6 +32,7 @@ from .model import (
     WeightFunction,
     index_to_tuple,
     tuple_to_index,
+    used_functions,
 )
 from .models import row_reduce
 
@@ -174,19 +175,19 @@ def simulate_projection(
 # ---------------------------------------------------------------------------
 
 def is_flip_symmetric(functions: Mapping[str, WeightFunction]) -> bool:
-    """True when no table changes under negating all arguments, which reverses it."""
-    for fn in functions.values():
-        if fn.domain_size != 2:
-            raise Refusal("flip symmetry is only defined for domain size 2")
-        if fn.table != fn.table[::-1]:
-            return False
-    return True
+    """True when no table changes under negating all arguments.
+
+    The q = 2 case of :func:`is_permutation_symmetric`; other domains are refused.
+    """
+    if any(fn.domain_size != 2 for fn in functions.values()):
+        raise Refusal("flip symmetry is only defined for domain size 2")
+    return is_permutation_symmetric(functions, 2)
 
 
 def _split_pins(
     instance: Instance,
 ) -> tuple[dict[int, int], list[Constraint], dict[str, WeightFunction]] | None:
-    """The pinned values, the other constraints, and the catalog without pins.
+    """The pinned values, the other constraints, and the functions they use.
 
     A pin is a unary point mass: one non-zero entry, equal to 1, read off the
     table itself.  Returns ``None`` when a variable is pinned to two values.
@@ -205,8 +206,7 @@ def _split_pins(
             remaining.append(c)
         elif pins.setdefault(c.scope[0], value) != value:
             return None
-    family = {n: f for n, f in instance.functions.items() if n not in pin_values}
-    return pins, remaining, family
+    return pins, remaining, used_functions(instance.functions, remaining)
 
 
 def _relabel(
@@ -655,10 +655,7 @@ def mobius_pinning_reduce(
     base = tuple(
         c for i, c in enumerate(instance.constraints) if i != constraint_index
     )
-    catalog = dict(instance.functions)
-    if all(c.function != target.function for c in base):
-        del catalog[target.function]
-
+    catalog = used_functions(instance.functions, base)
     slots = {v: slot for slot, v in enumerate(target.scope)}
     return _mobius_sum(instance, catalog, base, slots, table, evaluator)
 
@@ -689,13 +686,24 @@ def _mobius_sum(
 def is_permutation_symmetric(
     functions: Mapping[str, WeightFunction], domain_size: int
 ) -> bool:
-    """True when every function is invariant under every domain permutation."""
+    """True when every function is invariant under every domain permutation.
+
+    The q-cycle and the transposition of 0 and 1 generate all q! permutations,
+    so only those two are applied.  Each maps the table through the index of
+    every permuted point, built one coordinate at a time.
+    """
+    q = domain_size
+    cycle = [*range(1, q), 0]
+    generators = [cycle, [1, 0, *range(2, q)]] if q > 2 else [cycle]
     for fn in functions.values():
-        for perm in permutations(range(domain_size)):
-            for index, value in enumerate(fn.table):
-                x = index_to_tuple(index, fn.arity, domain_size)
-                if fn.lookup(tuple(perm[v] for v in x)) != value:
-                    return False
+        if fn.domain_size != q:
+            raise InputError(f"a function over domain {fn.domain_size}, not {q}")
+        for perm in generators:
+            image = [0]
+            for _ in range(fn.arity):
+                image = [i * q + perm[d] for i in image for d in range(q)]
+            if any(fn.table[j] != value for j, value in zip(image, fn.table)):
+                return False
     return True
 
 
@@ -705,8 +713,9 @@ def symmetric_pinning_reduce_q(instance: Instance, evaluator: Evaluator) -> Frac
     Each pinned variable goes to the slot of its value, and the Moebius sum of
     :func:`_mobius_sum` over the q slots counts the labellings whose q
     representatives are distinct: the wanted value A and its images under the
-    other q! - 1 domain permutations.  A family symmetric under all of them
-    gives q! A; for q > 2 no other family is accepted.  At q = 2 an entry with
+    other q! - 1 domain permutations.  A family (the functions that the
+    constraints other than pins use) symmetric under all of them gives q! A;
+    for q > 2 no other family is accepted.  At q = 2 an entry with
     f(x) > f(negated x) adds a constraint ``f`` on two extra variables in slots
     0 and 1, whose sum f(x) A + f(negated x) B separates A from the value B
     with 0 and 1 swapped.
@@ -719,8 +728,7 @@ def symmetric_pinning_reduce_q(instance: Instance, evaluator: Evaluator) -> Frac
     n = instance.num_variables
     if not pins:
         return evaluator(Instance(n, q, family, tuple(remaining)))
-    # refuses a domain too large for the lattice before the q! permutations
-    # of the symmetry test
+    # refuses a domain too large for the lattice before the symmetry test
     table = mobius_table(q)
     if q > 2 and not is_permutation_symmetric(family, q):
         raise Refusal(

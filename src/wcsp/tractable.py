@@ -20,7 +20,7 @@ from math import ceil, lcm, log2, prod
 from .classify import FamilyVerdict, Verdict, classify_family, is_pure_affine  # noqa: F401
 from .errors import Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions  # noqa: F401
-from .model import MAX_VALUE_BITS, Instance, brute_force_z
+from .model import MAX_VALUE_BITS, Instance, brute_force_z, used_functions
 
 _ZERO = Fraction(0)
 
@@ -114,10 +114,7 @@ def _classify_used(instance: Instance) -> Verdict:
     Reports of recent tables are kept, so an evaluator called by
     :func:`evaluate` reads the reports that routing has just built.
     """
-    used = {c.function for c in instance.constraints}
-    return classify_family(
-        {name: fn for name, fn in instance.functions.items() if name in used}
-    )
+    return classify_family(used_functions(instance.functions, instance.constraints))
 
 
 def _witnesses(instance: Instance, kind: str, field: str) -> dict:

@@ -35,6 +35,12 @@ class CheckResult:
     detail: str
 
 
+def _compare(
+    suite: str, name: str, got: object, expected: object, against: str = "oracle"
+) -> CheckResult:
+    return CheckResult(suite, name, got == expected, f"{got} vs {against} {expected}")
+
+
 def check_oracle_equivalence(seed: int, trials: int = 24) -> list[CheckResult]:
     """Dispatcher output equals enumeration on random small instances."""
     results = []
@@ -43,14 +49,8 @@ def check_oracle_equivalence(seed: int, trials: int = 24) -> list[CheckResult]:
         instance = random_instance(profile, seed * 1000 + trial, 6, 7)
         fast, route = evaluate(instance)
         slow = brute_force_z(instance)
-        results.append(
-            CheckResult(
-                "oracle",
-                f"dispatch-{profile}-{trial}",
-                fast == slow,
-                f"{route}: {fast} vs oracle {slow}",
-            )
-        )
+        detail = f"{route}: {fast} vs oracle {slow}"
+        results.append(CheckResult("oracle", f"dispatch-{profile}-{trial}", fast == slow, detail))
     return results
 
 
@@ -79,14 +79,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         pinned = _with_pins(base, rng)
         expected = brute_force_z(pinned)
         got = pinning_reduce_boolean(pinned, brute_force_z)
-        results.append(
-            CheckResult(
-                "reductions",
-                f"pin-elimination-{trial}",
-                got == expected,
-                f"{got} vs oracle {expected}",
-            )
-        )
+        results.append(_compare("reductions", f"pin-elimination-{trial}", got, expected))
     for trial in range(trials):
         base = random_instance("mixed", seed * 3000 + trial, 5, 4)
         name = next(iter(base.functions))
@@ -112,12 +105,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         expected = brute_force_z(shrunk)
         got = brute_force_z(lifted)
         results.append(
-            CheckResult(
-                "reductions",
-                f"projection-simulation-{trial}",
-                got == expected,
-                f"{got} vs oracle {expected}",
-            )
+            _compare("reductions", f"projection-simulation-{trial}", got, expected)
         )
     for trial in range(trials):
         base = random_instance("mixed", seed * 4000 + trial, 5, 4)
@@ -134,25 +122,13 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         got = interpolation_reduce(
             augmented, "uprobe", Fraction(2), brute_force_z
         )
-        results.append(
-            CheckResult(
-                "reductions",
-                f"interpolation-{trial}",
-                got == expected,
-                f"{got} vs oracle {expected}",
-            )
-        )
+        results.append(_compare("reductions", f"interpolation-{trial}", got, expected))
     for width in range(1, 7):
         instance = parity_chain(width)
         expected = Fraction(2 ** (width - 1))
         got = brute_force_z(instance)
         results.append(
-            CheckResult(
-                "reductions",
-                f"parity-chain-{width}",
-                got == expected,
-                f"{got} vs expected {expected}",
-            )
+            _compare("reductions", f"parity-chain-{width}", got, expected, "expected")
         )
     return results
 

@@ -8,7 +8,7 @@ of Gray codes, and so on.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -169,6 +169,18 @@ def pure_affine_direct(table) -> bool:
 # ---------------------------------------------------------------------------
 # counting oracles
 # ---------------------------------------------------------------------------
+
+def permutation_symmetric_direct(functions, q: int) -> bool:
+    """Whether every table is unchanged by each of the q! domain permutations,
+    applied to every point in turn."""
+    for fn in functions.values():
+        for perm in permutations(range(q)):
+            for index, value in enumerate(fn.table):
+                point = decode(index, fn.arity, q)
+                if fn.table[encode(tuple(perm[v] for v in point), q)] != value:
+                    return False
+    return True
+
 
 def gf2_count_direct(num_variables: int, rows) -> int:
     count = 0

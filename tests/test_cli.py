@@ -668,6 +668,21 @@ def test_reduce_pin_vars(tmp_path, capsys):
     assert report["value"] == "1" and report["verified"] is True
 
 
+def test_reduce_pin_vars_ignores_unused_functions(tmp_path, capsys):
+    # "hard" is in the catalog but no constraint uses it; the pinned
+    # equality chain alone is product type and needs no elimination table,
+    # so budget 3 suffices
+    instance = (
+        '{"q":2,"n":4,"functions":{"hard":{"arity":2,"table":["3","1","2","5"]}},'
+        '"constraints":[{"f":"eq","scope":[0,1]},{"f":"eq","scope":[1,2]},'
+        '{"f":"eq","scope":[2,3]},{"f":"delta0","scope":[0]}]}'
+    )
+    path = write(tmp_path, "inst.json", instance)
+    code, report, err = run(capsys, "reduce", "pin-vars", path, "--budget", "3")
+    assert (code, err) == (0, "")
+    assert report["value"] == "1"
+
+
 def test_reduce_interpolate(tmp_path, capsys):
     instance = (
         '{"q":2,"n":1,"functions":{"u":{"arity":1,"table":["1","5"]}},'

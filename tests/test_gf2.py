@@ -111,12 +111,13 @@ def test_affine_system_of_rejects_non_affine():
         affine_system_of(Relation.from_tuples(1, [(0,)], domain_size=3))
 
 
-@given(st.integers(0, 4), st.data())
+@given(st.integers(0, 8), st.data())
 def test_affine_system_round_trips_the_relation(arity, data):
     # Build an affine relation as a coset of a random span, then check that
-    # the emitted system has exactly that solution set.
+    # the emitted system has exactly that solution set, one row per
+    # dimension the span lacks.
     generators = data.draw(
-        st.lists(st.integers(0, (1 << arity) - 1), max_size=4)
+        st.lists(st.integers(0, (1 << arity) - 1), max_size=arity)
     )
     shift = data.draw(st.integers(0, (1 << arity) - 1))
     members = {shift}
@@ -126,3 +127,5 @@ def test_affine_system_round_trips_the_relation(arity, data):
     system = affine_system_of(relation)
     assert system.num_variables == arity
     assert _solution_set(system, arity) == relation.members
+    rank = len(members).bit_length() - 1
+    assert len(system.rows) == arity - rank

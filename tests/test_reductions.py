@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import distinct_filtered_z, enumerate_affine_supports
+from oracles import (
+    decode,
+    distinct_filtered_z,
+    encode,
+    enumerate_affine_supports,
+    permutation_symmetric_direct,
+)
 
 from wcsp.classify import is_pure_affine
 from wcsp.errors import InputError, InvariantViolation, Refusal
@@ -736,6 +742,53 @@ def test_is_permutation_symmetric():
     )
     assert not is_permutation_symmetric({"d": delta(0, 3)}, 3)
     assert is_permutation_symmetric({}, 3)
+    for q in (2, 4):
+        with pytest.raises(InputError):
+            is_permutation_symmetric({"neq": binary_disequality(3)}, q)
+
+
+def test_permutation_symmetry_of_the_q6_disequality_is_quick():
+    import time
+
+    neq6 = full_disequality(6)
+    started = time.perf_counter()
+    assert is_permutation_symmetric({"neq6": neq6}, 6)
+    assert time.perf_counter() - started < 5
+
+
+def _orbit_sum(values, arity, q, group):
+    """The sum of the table over a group of domain permutations, invariant under it."""
+    return [
+        sum(values[encode(tuple(perm[v] for v in decode(index, arity, q)), q)] for perm in group)
+        for index in range(len(values))
+    ]
+
+
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_permutation_symmetry_matches_direct_check(q, data):
+    # Tables are drawn plain (rarely symmetric) or summed over all q!
+    # permutations (symmetric), over the rotations alone or over the
+    # transposition of 0 and 1 alone (each symmetric under one generator).
+    groups = [
+        [tuple(range(q))],
+        list(itertools.permutations(range(q))),
+        [tuple((d + shift) % q for d in range(q)) for shift in range(q)],
+        [tuple(range(q)), (1, 0, *range(2, q))],
+    ]
+    functions = {}
+    for name in ("f", "g")[: data.draw(st.integers(1, 2))]:
+        arity = data.draw(st.integers(0, {2: 5, 3: 4, 4: 3}[q]))
+        size = q**arity
+        values = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        group = data.draw(st.sampled_from(groups))
+        functions[name] = WeightFunction(
+            arity, q, tuple(map(F, _orbit_sum(values, arity, q, group)))
+        )
+    assert is_permutation_symmetric(functions, q) == permutation_symmetric_direct(
+        functions, q
+    )
+    if q == 2:
+        assert is_flip_symmetric(functions) == permutation_symmetric_direct(functions, 2)
 
 
 def test_symmetric_pinning_boolean_example():
@@ -800,6 +853,28 @@ def test_symmetric_pinning_refuses_asymmetric_family():
     )
     with pytest.raises(Refusal):
         symmetric_pinning_reduce_q(inst, brute_force_z)
+
+
+def test_symmetric_pinning_ignores_unused_functions():
+    # the asymmetric unary "u" is in the catalog but no constraint uses it
+    inst = _instance(
+        3,
+        3,
+        {
+            "h": WeightFunction(2, 3, (F(1),) * 9),
+            "u": WeightFunction(1, 3, (F(1), F(2), F(3))),
+            "delta0": delta(0, 3),
+        },
+        [("h", (0, 1)), ("delta0", (0,))],
+    )
+    catalogs = []
+
+    def spy(sub):
+        catalogs.append(set(sub.functions))
+        return brute_force_z(sub)
+
+    assert symmetric_pinning_reduce_q(inst, spy) == brute_force_z(inst) == 9
+    assert catalogs and all(names == {"h"} for names in catalogs)
 
 
 @given(st.integers(0, 60))
