@@ -19,12 +19,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import product
+from math import lcm, prod
 from typing import Mapping
 
 from .errors import Refusal
 from .gf2 import Gf2System, column_patterns, coset_of, coset_system
-from .model import Relation, WeightFunction, index_to_tuple
+from .model import Relation, WeightFunction, strides, table_indices
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -149,25 +150,21 @@ class ProductWitness:
 def reconstruct_product_table(witness: ProductWitness) -> tuple[Fraction, ...]:
     """Expand a witness back into a full table (soundness check helper)."""
     k = witness.arity
-    table = []
-    for index in range(1 << k):
-        point = index_to_tuple(index, k, 2)
-        if any(point[col] != val for col, val in witness.constant_columns):
-            table.append(_ZERO)
-            continue
-        value = witness.scale
-        ok = True
-        for cls in witness.classes:
-            rep = cls.members[0][0]
-            rep_value = point[rep]
-            for col, complemented in cls.members:
-                if point[col] != (rep_value ^ 1 if complemented else rep_value):
-                    ok = False
-                    break
-            if not ok:
-                break
-            value = value * cls.weights[rep_value]
-        table.append(value if ok else _ZERO)
+    step = strides(k, 2)
+    # the support's frame: the pins, each class's two sides, then every
+    # column that no pin or class mentions, free at weight 1
+    pinned = sum(val * step[col] for col, val in witness.constant_columns)
+    mentioned = {col for col, _ in witness.constant_columns}
+    sides = []
+    for cls in witness.classes:
+        mentioned.update(col for col, _ in cls.members)
+        sides.append([sum(step[c] for c, flip in cls.members if flip ^ side) for side in (0, 1)])
+    free = [col for col in range(k) if col not in mentioned]
+    offsets = [[pinned], *sides, *([0, step[col]] for col in free)]
+    weights = product(*(cls.weights for cls in witness.classes), *[(_ONE, _ONE)] * len(free))
+    table = [_ZERO] * (1 << k)
+    for index, point_weights in zip(table_indices(offsets), weights):
+        table[index] = witness.scale * prod(point_weights)
     return tuple(table)
 
 

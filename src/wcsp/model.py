@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InputError, Refusal
 
@@ -119,6 +119,21 @@ def tuple_to_index(values: Sequence[int], domain_size: int) -> int:
     for v in values:
         index = index * domain_size + v
     return index
+
+
+def strides(arity: int, domain_size: int) -> list[int]:
+    """The table index step of each coordinate, ``q**(arity - 1 - j)`` at ``j``."""
+    return [domain_size ** (arity - 1 - j) for j in range(arity)]
+
+
+def table_indices(offsets: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The table index of every point of a frame, lazily and in table order.
+
+    ``offsets[j][d]`` is what frame coordinate ``j`` adds at value ``d``:
+    ``d`` times a stride, or a sum of strides for merged coordinates, reads
+    a coordinate, ``perm[d] * stride`` maps values, and one offset pins it.
+    """
+    return map(sum, product(*offsets))
 
 
 def index_to_tuple(index: int, arity: int, domain_size: int) -> tuple[int, ...]:

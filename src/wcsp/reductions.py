@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, permutations, product
+from itertools import count, permutations
 from math import factorial, isqrt, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,6 +31,8 @@ from .model import (
     Instance,
     WeightFunction,
     index_to_tuple,
+    strides,
+    table_indices,
     tuple_to_index,
     used_functions,
 )
@@ -55,15 +57,13 @@ def project(fn: WeightFunction, coordinates: Sequence[int]) -> WeightFunction:
         if not 0 <= i < fn.arity:
             raise InputError(f"projection coordinate {i} outside arity {fn.arity}")
     q = fn.domain_size
+    # a scatter: each point adds its value at the index of its kept coordinates
+    kept = dict(zip(coords, strides(len(coords), q)))
+    offsets = [[d * kept.get(i, 0) for d in range(q)] for i in range(fn.arity)]
     table = [_ZERO] * q ** len(coords)
-    for index, value in enumerate(fn.table):
-        if not value:
-            continue
-        point = index_to_tuple(index, fn.arity, q)
-        sub = 0
-        for i in coords:
-            sub = sub * q + point[i]
-        table[sub] += value
+    for sub, value in zip(table_indices(offsets), fn.table):
+        if value:
+            table[sub] += value
     return WeightFunction(len(coords), q, tuple(table))
 
 
@@ -74,10 +74,9 @@ def pin_coordinate(fn: WeightFunction, coordinate: int, value: int) -> WeightFun
     if not 0 <= value < fn.domain_size:
         raise InputError(f"pin value {value} outside domain of size {fn.domain_size}")
     q = fn.domain_size
-    table = []
-    for rest in product(range(q), repeat=fn.arity - 1):
-        point = rest[:coordinate] + (value,) + rest[coordinate:]
-        table.append(fn.lookup(point))
+    offsets = [[d * s for d in range(q)] for s in strides(fn.arity, q)]
+    offsets[coordinate] = [offsets[coordinate][value]]  # a single offset pins
+    table = map(fn.table.__getitem__, table_indices(offsets))
     return WeightFunction(fn.arity - 1, q, tuple(table))
 
 
@@ -98,11 +97,11 @@ def merge_coordinates(fn: WeightFunction, first: int, second: int) -> WeightFunc
             raise InputError(f"merge coordinate {i} outside arity {fn.arity}")
     lo, hi = sorted((first, second))
     q = fn.domain_size
-    table = []
-    for rest in product(range(q), repeat=fn.arity - 1):
-        point = list(rest[:lo]) + [0] + list(rest[lo:])
-        point[lo] = point[hi]
-        table.append(fn.lookup(point))
+    step = strides(fn.arity, q)
+    step[hi] += step[lo]  # the kept coordinate reads both
+    del step[lo]
+    offsets = [[d * s for d in range(q)] for s in step]
+    table = map(fn.table.__getitem__, table_indices(offsets))
     return WeightFunction(fn.arity - 1, q, tuple(table))
 
 
@@ -412,14 +411,11 @@ def symmetrize_parity(
     else:
         raise Refusal("support must be exactly the odd- or even-parity triples")
 
-    table = []
-    for index in range(8):
-        x = index_to_tuple(index, 3, 2)
-        value = _ONE
-        for order in permutations(range(3)):
-            value = value * fn.lookup((x[order[0]], x[order[1]], x[order[2]]))
-        table.append(value)
-    symmetrized = WeightFunction(3, 2, tuple(table))
+    # under an ordering, coordinate i is read at the stride of its new position
+    step = strides(3, 2)
+    reads = ([(0, step[order.index(i)]) for i in range(3)] for order in permutations(range(3)))
+    columns = [map(fn.table.__getitem__, table_indices(offsets)) for offsets in reads]
+    symmetrized = WeightFunction(3, 2, tuple(map(prod, zip(*columns))))
 
     if odd_case:
         level_ratio = symmetrized.lookup((0, 0, 1)) / symmetrized.lookup((1, 1, 1))
@@ -477,15 +473,14 @@ def extract_unary(fn: WeightFunction) -> UnaryExtraction | PinRecursion:
     if report.pure_affine:
         raise Refusal("the function is pure affine; there is no unary to extract")
 
-    rows = [index_to_tuple(index, fn.arity, 2) for index in support]
-    column = next(
-        i
-        for i in range(fn.arity)
-        if any(row[i] != rows[0][i] for row in rows)
-    )
+    varying = 0
+    for index in support:
+        varying |= index ^ support[0]
+    # the first varying column is the highest varying bit
+    column = fn.arity - varying.bit_length()
     side_values: tuple[set[Fraction], set[Fraction]] = (set(), set())
-    for row, index in zip(rows, support):
-        side_values[row[column]].add(fn.table[index])
+    for index in support:
+        side_values[index >> (fn.arity - 1 - column) & 1].add(fn.table[index])
     for side in (0, 1):
         if len(side_values[side]) >= 2:
             return PinRecursion(pin_coordinate(fn, column, side), column, side)
@@ -689,8 +684,8 @@ def is_permutation_symmetric(
     """True when every function is invariant under every domain permutation.
 
     The q-cycle and the transposition of 0 and 1 generate all q! permutations,
-    so only those two are applied.  Each maps the table through the index of
-    every permuted point, built one coordinate at a time.
+    so only those two are applied.  Each reads the table at the index of every
+    permuted point.
     """
     q = domain_size
     cycle = [*range(1, q), 0]
@@ -699,10 +694,8 @@ def is_permutation_symmetric(
         if fn.domain_size != q:
             raise InputError(f"a function over domain {fn.domain_size}, not {q}")
         for perm in generators:
-            image = [0]
-            for _ in range(fn.arity):
-                image = [i * q + perm[d] for i in image for d in range(q)]
-            if any(fn.table[j] != value for j, value in zip(image, fn.table)):
+            image = table_indices([[perm[d] * s for d in range(q)] for s in strides(fn.arity, q)])
+            if tuple(map(fn.table.__getitem__, image)) != fn.table:
                 return False
     return True
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
 from math import ceil, lcm, log2, prod
 
 # is_pure_affine and affine_system_of are re-exported: perfbench/tracing.py
@@ -20,7 +19,7 @@ from math import ceil, lcm, log2, prod
 from .classify import FamilyVerdict, Verdict, classify_family, is_pure_affine  # noqa: F401
 from .errors import Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions  # noqa: F401
-from .model import MAX_VALUE_BITS, Instance, brute_force_z, used_functions
+from .model import MAX_VALUE_BITS, Instance, brute_force_z, strides, table_indices, used_functions
 
 _ZERO = Fraction(0)
 
@@ -268,20 +267,16 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
         # v is the last, least significant, coordinate of the bucket's table,
         # so summing it out adds runs of q consecutive entries.
         frame = (*dict.fromkeys(u for scope, _ in bucket for u in scope if u != v), v)
-        at = {u: i for i, u in enumerate(frame)}
-        strides = [
-            [(at[u], q ** (len(scope) - 1 - j)) for j, u in enumerate(scope)]
-            for scope, _ in bucket
-        ]
-        weights = (
-            prod(
-                table[sum(point[i] * step for i, step in stride)]
-                for (_, table), stride in zip(bucket, strides)
-            )
-            for point in product(range(q), repeat=len(frame))
-        )
-        runs = [weights] * q  # q references to one iterator: zip takes runs of q
-        place(frame[:-1], [sum(run) for run in zip(*runs)])
+        columns = []
+        for scope, table in bucket:
+            step = dict.fromkeys(frame, 0)  # a repeated variable adds each stride
+            for u, stride in zip(scope, strides(len(scope), q)):
+                step[u] += stride
+            offsets = [[d * s for d in range(q)] for s in step.values()]
+            columns.append(map(table.__getitem__, table_indices(offsets)))
+        weights = map(prod, zip(*columns))
+        # q references to one iterator: zip takes runs of q
+        place(frame[:-1], list(map(sum, zip(*[weights] * q))))
     return Fraction(_tree_product(numerators), _tree_product(denominators))
 
 
