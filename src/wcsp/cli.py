@@ -445,12 +445,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     instance = random_instance(
         args.profile, args.seed, args.variables, args.constraints
     )
-    text = instance_to_json(instance)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-    sys.stdout.write(text)
+    _maybe_write(args, instance)
+    sys.stdout.write(instance_to_json(instance))
     sys.stdout.write("\n")
     return EXIT_OK
 

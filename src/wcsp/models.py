@@ -208,6 +208,20 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(row_reduce(rows)[1])
 
 
+def _rank_at_most_one(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether a rational matrix has rank at most 1, in one pass over its entries.
+
+    With a non-zero pivot ``M[i0][j0]``, every row is a multiple of the pivot
+    row exactly when ``M[i][j] * M[i0][j0] == M[i][j0] * M[i0][j]`` everywhere.
+    """
+    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+    if pivot is None:
+        return True
+    i0, j0 = pivot
+    lead, pivot_row = rows[i0][j0], rows[i0]
+    return all(x * lead == row[j0] * pivot_row[j] for row in rows for j, x in enumerate(row))
+
+
 class HomTractability(Enum):
     TRACTABLE = "tractable"
     HARD = "hard"
@@ -220,7 +234,9 @@ def bulatov_grohe_classify(matrix: TargetMatrix) -> HomTractability:
     into connected components of the positive-entry graph; the target is
     tractable exactly when every non-bipartite component (one containing a
     positive diagonal entry or an odd cycle) has rank at most 1 and every
-    bipartite component has rank at most 2.
+    bipartite component has rank at most 2.  Ordered by colour, a bipartite
+    component reads ``[[0, B], [B^T, 0]]``, of rank ``2 * rank(B)``, so each
+    component costs one rank-at-most-1 test, quadratic in its size.
     """
     size = matrix.size
     present = [i for i in range(size) if any(matrix.entries[i])]
@@ -247,11 +263,11 @@ def bulatov_grohe_classify(matrix: TargetMatrix) -> HomTractability:
                 component.append(v)
                 stack.append(v)
         unvisited -= set(component)
-        submatrix = [
-            [matrix.entries[u][v] for v in component] for u in component
-        ]
-        limit = 2 if bipartite else 1
-        if rational_rank(submatrix) > limit:
+        rows, columns = component, component
+        if bipartite:
+            rows = [u for u in component if colour[u] == 0]
+            columns = [v for v in component if colour[v] == 1]
+        if not _rank_at_most_one([[matrix.entries[u][v] for v in columns] for u in rows]):
             return HomTractability.HARD
     return HomTractability.TRACTABLE
 

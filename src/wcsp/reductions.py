@@ -281,7 +281,7 @@ def interpolation_polynomial(
         raise Refusal(f"{unary_name!r} must be normalized to table (1, c)")
     ratio = Fraction(point)
     if ratio <= 0 or ratio == 1:
-        raise InputError(f"interpolation point must be positive and different from 1")
+        raise InputError("interpolation point must be positive and different from 1")
 
     occurrences = sum(1 for c in instance.constraints if c.function == unary_name)
     if occurrences > MAX_INTERPOLATION_OCCURRENCES:

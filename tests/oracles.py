@@ -167,6 +167,39 @@ def pure_affine_direct(table) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# table transforms, point by point
+# ---------------------------------------------------------------------------
+
+def project_direct(fn, coordinates) -> tuple:
+    """Each point's value added at the index of its kept coordinates."""
+    q = fn.domain_size
+    table = [_ZERO] * q ** len(coordinates)
+    for point in product(range(q), repeat=fn.arity):
+        table[encode(tuple(point[i] for i in coordinates), q)] += fn.table[encode(point, q)]
+    return tuple(table)
+
+
+def pin_direct(fn, coordinate: int, value: int) -> tuple:
+    """The value at each point of the other coordinates, with ``value`` put back."""
+    q = fn.domain_size
+    return tuple(
+        fn.table[encode(rest[:coordinate] + (value,) + rest[coordinate:], q)]
+        for rest in product(range(q), repeat=fn.arity - 1)
+    )
+
+
+def merge_direct(fn, first: int, second: int) -> tuple:
+    """The value where the earlier coordinate copies the later one, which is kept."""
+    lo, hi = sorted((first, second))
+    q = fn.domain_size
+    # rest lists every coordinate but lo, so the kept one sits at hi - 1
+    return tuple(
+        fn.table[encode(rest[:lo] + (rest[hi - 1],) + rest[lo:], q)]
+        for rest in product(range(q), repeat=fn.arity - 1)
+    )
+
+
+# ---------------------------------------------------------------------------
 # counting oracles
 # ---------------------------------------------------------------------------
 
@@ -261,6 +294,58 @@ def bg_2x2_expected(a: Fraction, b: Fraction, d: Fraction) -> bool:
     needs rank <= 1, i.e. a*d = b*b.
     """
     return b == 0 or (a == 0 and d == 0) or a * d == b * b
+
+
+def rank_direct(rows) -> int:
+    """Rank by plain Gaussian elimination over the rationals."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def bulatov_grohe_direct(matrix) -> bool:
+    """Bulatov-Grohe tractability from the exact rank of each whole component.
+
+    Components of the positive-entry graph on the vertices with a non-zero
+    row, grown to a fixed point; a component is bipartite when one of its
+    2-colourings (all tried, so keep targets small) puts no positive entry,
+    loops included, inside a colour.  Tractable exactly when every component
+    has rank at most 2 if bipartite, else at most 1.
+    """
+    entries = matrix.entries
+    present = [i for i in range(matrix.size) if any(entries[i])]
+    remaining = set(present)
+    while remaining:
+        component = {min(remaining)}
+        while True:
+            reached = component | {v for u in component for v in present if entries[u][v]}
+            if reached == component:
+                break
+            component = reached
+        remaining -= component
+        members = sorted(component)
+        bipartite = any(
+            all(
+                colours[a] != colours[b]
+                for a, u in enumerate(members)
+                for b, v in enumerate(members)
+                if entries[u][v]
+            )
+            for colours in product((0, 1), repeat=len(members))
+        )
+        rank = rank_direct([[entries[u][v] for v in members] for u in members])
+        if rank > (2 if bipartite else 1):
+            return False
+    return True
 
 
 def rank1_hom_value(matrix, graph) -> Fraction:

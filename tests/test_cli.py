@@ -784,6 +784,24 @@ def test_model_evalh(tmp_path, capsys):
     assert report["vertices"] == 3 and report["edges"] == 3
 
 
+def test_model_evalh_classifies_a_large_target_in_quadratic_time(tmp_path, capsys):
+    # a full rank of this target costs about 120**3 rational operations and
+    # took many seconds; the rank-at-most-1 test reads each entry once
+    rng = random.Random(120)
+    rows = [[0] * 120 for _ in range(120)]
+    for i in range(120):
+        for j in range(i, 120):
+            rows[i][j] = rows[j][i] = rng.randint(0, 9)
+    graph = write(tmp_path, "g.txt", "2\n0 1\n")
+    matrix = write(tmp_path, "h.json", json.dumps(rows))
+    started = time.perf_counter()
+    code, report, _ = run(capsys, "model", "evalh", "--graph", graph, "--matrix", matrix)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert report["classification"] == "hard"
+    assert report["value"] == str(sum(map(sum, rows)))
+
+
 def test_model_wenum(tmp_path, capsys):
     generator = write(tmp_path, "a.txt", "11\n")
     code, report, _ = run(

@@ -1,8 +1,9 @@
-"""Every package module reads each name it imports.
+"""Every package module reads each name it imports and formats each f-string.
 
-No linter is required to work on the package, so this AST check stands in for
-the unused-import rule (F401).  ``__init__.py`` re-exports by design and is
-skipped; an import line marked ``# noqa: F401`` is a deliberate re-export.
+No linter is required to work on the package, so these AST checks stand in
+for the unused-import rule (F401) and the placeholder-free f-string rule
+(F541).  ``__init__.py`` re-exports by design and is skipped by the import
+check; an import line marked ``# noqa: F401`` is a deliberate re-export.
 """
 
 import ast
@@ -32,6 +33,28 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
+def placeholderless_fstrings(source: str) -> list[int]:
+    """The lines of f-strings that hold no ``{...}`` placeholder.
+
+    The format spec of a placeholder, ``.12g`` in ``f"{x:.12g}"``, is an
+    f-string node of its own and is not counted.
+    """
+    tree = ast.parse(source)
+    nodes = list(ast.walk(tree))
+    specs = {
+        id(node.format_spec)
+        for node in nodes
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+    }
+    return [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(value, ast.FormattedValue) for value in node.values)
+    ]
+
+
 def test_the_check_finds_unused_names():
     source = (
         "import os\n"
@@ -50,3 +73,20 @@ def test_the_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_fstrings_without_placeholders():
+    source = (
+        'a = f"plain"\n'
+        'b = f"{x:.12g}"\n'
+        'c = f"{x:{width}}"\n'
+        'd = "joined " f"{x}"\n'
+        'e = (f"no "\n'
+        '     "fields")\n'
+    )
+    assert placeholderless_fstrings(source) == [1, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_formats_every_fstring(path):
+    assert placeholderless_fstrings(path.read_text(encoding="utf-8")) == []

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bg_2x2_expected, ising_direct, rank1_hom_value, weight_enum_direct
+from oracles import (
+    bg_2x2_expected,
+    bulatov_grohe_direct,
+    ising_direct,
+    rank1_hom_value,
+    weight_enum_direct,
+)
 
 from wcsp.errors import InputError, Refusal
 from wcsp.generate import random_connected_graph
@@ -234,6 +240,53 @@ def test_exhaustive_2x2_against_reference_criterion():
                 expected = bg_2x2_expected(F(a), F(b), F(d))
                 got = bulatov_grohe_classify(matrix) is HomTractability.TRACTABLE
                 assert got == expected, (a, b, d)
+
+
+SPIN_VALUES = st.sampled_from([F(0), F(1), F(2), F(3), F(1, 2)])
+
+
+@st.composite
+def spin_targets(draw):
+    """Symmetric targets of size <= 6, one block per disjoint set of vertices.
+
+    A block is arbitrary, symmetric of rank 1, bipartite with a rank-1 block
+    (rank 2 in all), bipartite with an arbitrary block, or left all zero.
+    """
+    size = draw(st.integers(1, 6))
+    entries = [[F(0)] * size for _ in range(size)]
+    vertices = draw(st.permutations(range(size)))
+    while vertices:
+        cut = draw(st.integers(1, len(vertices)))
+        block, vertices = vertices[:cut], vertices[cut:]
+        kind = draw(st.sampled_from(["any", "rank-1", "bipartite rank-1", "bipartite", "zero"]))
+        if kind == "any":
+            for a, u in enumerate(block):
+                for v in block[a:]:
+                    entries[u][v] = entries[v][u] = draw(SPIN_VALUES)
+        elif kind == "rank-1":
+            weights = [draw(SPIN_VALUES) for _ in block]
+            for u, x in zip(block, weights):
+                for v, y in zip(block, weights):
+                    entries[u][v] = x * y
+        elif kind != "zero":
+            split = draw(st.integers(0, len(block)))
+            left, right = block[:split], block[split:]
+            if kind == "bipartite rank-1":
+                x = [draw(SPIN_VALUES) for _ in left]
+                y = [draw(SPIN_VALUES) for _ in right]
+                half = [[a * b for b in y] for a in x]
+            else:
+                half = [[draw(SPIN_VALUES) for _ in right] for _ in left]
+            for u, row in zip(left, half):
+                for v, value in zip(right, row):
+                    entries[u][v] = entries[v][u] = value
+    return TargetMatrix(size, tuple(map(tuple, entries)))
+
+
+@given(spin_targets())
+def test_bulatov_grohe_matches_the_rank_rule(matrix):
+    tractable = bulatov_grohe_classify(matrix) is HomTractability.TRACTABLE
+    assert tractable == bulatov_grohe_direct(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ from oracles import (
     distinct_filtered_z,
     encode,
     enumerate_affine_supports,
+    merge_direct,
     permutation_symmetric_direct,
+    pin_direct,
+    project_direct,
 )
 
 from wcsp.classify import is_pure_affine
@@ -135,6 +138,25 @@ def test_project_out_is_sum_of_pins(arity, coordinate, data):
     zero = pin_coordinate(f, coordinate, 0).table
     one = pin_coordinate(f, coordinate, 1).table
     assert left == tuple(a + b for a, b in zip(zero, one))
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 4), st.data())
+def test_table_transforms_match_point_by_point_references(q, arity, data):
+    entries = st.sampled_from([F(0), F(1), F(2), F(1, 3)])
+    table = data.draw(st.lists(entries, min_size=q**arity, max_size=q**arity))
+    f = WeightFunction(arity, q, tuple(table))
+    for size in range(arity + 1):
+        for coords in itertools.combinations(range(arity), size):
+            assert project(f, coords) == WeightFunction(size, q, project_direct(f, coords))
+    for coordinate in range(arity):
+        keep = tuple(i for i in range(arity) if i != coordinate)
+        assert project_out(f, coordinate).table == project_direct(f, keep)
+        for value in range(q):
+            pinned = WeightFunction(arity - 1, q, pin_direct(f, coordinate, value))
+            assert pin_coordinate(f, coordinate, value) == pinned
+    for first, second in itertools.permutations(range(arity), 2):
+        merged = WeightFunction(arity - 1, q, merge_direct(f, first, second))
+        assert merge_coordinates(f, first, second) == merged
 
 
 def test_merge_coordinates_diagonal():
