@@ -16,10 +16,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .errors import InputError
+from .errors import InputError, Refusal
 from .gf2 import xor_basis
 from .model import Constraint, Instance, WeightFunction
 from .models import Graph, hom_instance, ising_matrix
+from .tractable import DEFAULT_TABLE_BUDGET
 
 PROFILES = ("product-type", "pure-affine", "mixed", "graph-hom")
 
@@ -95,9 +96,20 @@ def random_table_function(rng: random.Random, arity: int) -> WeightFunction:
 def random_connected_graph(
     rng: random.Random, num_vertices: int, num_edges: int | None = None
 ) -> Graph:
-    """A uniform-ish random connected simple graph on the given vertices."""
+    """A uniform-ish random connected simple graph on the given vertices.
+
+    Extra edges beyond a random spanning tree are drawn from a list of every
+    vertex pair, so with ``num_edges`` given it refuses, before any draw,
+    when that list would exceed ``DEFAULT_TABLE_BUDGET`` entries.
+    """
     if num_vertices < 1:
         raise InputError(f"need at least one vertex, got {num_vertices}")
+    pairs = num_vertices * (num_vertices - 1) // 2
+    if num_edges is not None and pairs > DEFAULT_TABLE_BUDGET:
+        raise Refusal(
+            f"a graph on {num_vertices} vertices has {pairs} vertex pairs, "
+            f"beyond the table budget {DEFAULT_TABLE_BUDGET}"
+        )
     edges = {
         tuple(sorted((v, rng.randrange(v)))) for v in range(1, num_vertices)
     }

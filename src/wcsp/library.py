@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .errors import InputError
 from .model import WeightFunction, parse_rational
@@ -17,12 +18,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _indicator(
+    arity: int, domain_size: int, accept: Callable[[tuple[int, ...]], bool]
+) -> WeightFunction:
+    """The 0/1 table of the points, in table order, that ``accept`` admits."""
+    table = tuple(
+        _ONE if accept(point) else _ZERO
+        for point in product(range(domain_size), repeat=arity)
+    )
+    return WeightFunction(arity, domain_size, table)
+
+
 def delta(value: int, domain_size: int = 2) -> WeightFunction:
     """Unary pin: weight 1 on ``value``, 0 elsewhere."""
     if not 0 <= value < domain_size:
         raise InputError(f"pin value {value} outside domain of size {domain_size}")
-    table = tuple(_ONE if v == value else _ZERO for v in range(domain_size))
-    return WeightFunction(1, domain_size, table)
+    return _indicator(1, domain_size, lambda point: point[0] == value)
 
 
 def unary_weight(w: Fraction) -> WeightFunction:
@@ -31,44 +42,28 @@ def unary_weight(w: Fraction) -> WeightFunction:
 
 
 def binary_equality(domain_size: int = 2) -> WeightFunction:
-    table = tuple(
-        _ONE if x == y else _ZERO
-        for x, y in product(range(domain_size), repeat=2)
-    )
-    return WeightFunction(2, domain_size, table)
+    return _indicator(2, domain_size, lambda point: point[0] == point[1])
 
 
 def binary_disequality(domain_size: int = 2) -> WeightFunction:
-    table = tuple(
-        _ZERO if x == y else _ONE
-        for x, y in product(range(domain_size), repeat=2)
-    )
-    return WeightFunction(2, domain_size, table)
+    return _indicator(2, domain_size, lambda point: point[0] != point[1])
 
 
 def parity_indicator(arity: int) -> WeightFunction:
     """Boolean indicator of tuples with an odd number of ones."""
-    table = tuple(
-        _ONE if bin(i).count("1") % 2 == 1 else _ZERO for i in range(2**arity)
-    )
-    return WeightFunction(arity, 2, table)
+    return _indicator(arity, 2, lambda point: sum(point) % 2 == 1)
 
 
 def even_parity_indicator(arity: int) -> WeightFunction:
     """Boolean indicator of tuples with an even number of ones."""
-    table = tuple(
-        _ONE if bin(i).count("1") % 2 == 0 else _ZERO for i in range(2**arity)
-    )
-    return WeightFunction(arity, 2, table)
+    return _indicator(arity, 2, lambda point: sum(point) % 2 == 0)
 
 
 def full_disequality(domain_size: int) -> WeightFunction:
     """Arity-q indicator of pairwise-distinct tuples over a size-q domain."""
-    table = tuple(
-        _ONE if len(set(point)) == domain_size else _ZERO
-        for point in product(range(domain_size), repeat=domain_size)
+    return _indicator(
+        domain_size, domain_size, lambda point: len(set(point)) == domain_size
     )
-    return WeightFunction(domain_size, domain_size, table)
 
 
 def scale_function(fn: WeightFunction, factor: Fraction) -> WeightFunction:

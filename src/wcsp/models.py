@@ -26,7 +26,7 @@ from .model import (
     load_file,
     parse_rational,
 )
-from .tractable import evaluate
+from .tractable import ParityUnionFind, evaluate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,21 +86,14 @@ class Graph:
 
 
 def is_connected(graph: Graph) -> bool:
-    if graph.num_vertices == 0:
-        return True
     # a connected graph has a spanning tree, so at least V - 1 edges; checked
-    # before the adjacency lists, which a huge sparse graph could not hold
+    # before the union-find, which a huge sparse graph could not hold
     if graph.num_edges < graph.num_vertices - 1:
         return False
-    adjacency = graph.neighbors()
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == graph.num_vertices
+    union = ParityUnionFind(graph.num_vertices)
+    for u, v in graph.edges:
+        union.union(u, v, 0)
+    return union.classes <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +229,30 @@ def bulatov_grohe_classify(matrix: TargetMatrix) -> HomTractability:
     positive diagonal entry or an odd cycle) has rank at most 1 and every
     bipartite component has rank at most 2.  Ordered by colour, a bipartite
     component reads ``[[0, B], [B^T, 0]]``, of rank ``2 * rank(B)``, so each
-    component costs one rank-at-most-1 test, quadratic in its size.
+    component costs one rank-at-most-1 test, quadratic in its size.  One
+    parity union-find gives the components and their colours: each positive
+    off-diagonal entry ties its ends with parity 1, and a positive diagonal
+    entry or a contradicting tie marks its component as not bipartite.
     """
-    size = matrix.size
-    present = [i for i in range(size) if any(matrix.entries[i])]
-    unvisited = set(present)
-    while unvisited:
-        start = min(unvisited)
-        colour = {start: 0}
-        stack = [start]
-        bipartite = matrix.entries[start][start] == 0
-        component = [start]
-        while stack:
-            u = stack.pop()
-            for v in present:
-                if not matrix.entries[u][v]:
-                    continue
-                if v == u:
-                    bipartite = False
-                    continue
-                if v in colour:
-                    if colour[v] == colour[u]:
-                        bipartite = False
-                    continue
-                colour[v] = 1 - colour[u]
-                component.append(v)
-                stack.append(v)
-        unvisited -= set(component)
-        rows, columns = component, component
-        if bipartite:
-            rows = [u for u in component if colour[u] == 0]
-            columns = [v for v in component if colour[v] == 1]
-        if not _rank_at_most_one([[matrix.entries[u][v] for v in columns] for u in rows]):
+    entries = matrix.entries
+    union = ParityUnionFind(matrix.size)
+    odd = []  # a vertex of each positive diagonal entry or odd cycle found
+    for u in range(matrix.size):
+        if entries[u][u]:
+            odd.append(u)
+        for v in range(u + 1, matrix.size):
+            if entries[u][v] and not union.union(u, v, 1):
+                odd.append(u)
+    odd_roots = {union.find(u)[0] for u in odd}
+    colours: dict[int, tuple[list[int], list[int]]] = {}
+    for u in range(matrix.size):
+        if any(entries[u]):
+            root, parity = union.find(u)
+            colours.setdefault(root, ([], []))[parity].append(u)
+    for root, (rows, columns) in colours.items():
+        if root in odd_roots:
+            rows = columns = rows + columns
+        if not _rank_at_most_one([[entries[u][v] for v in columns] for u in rows]):
             return HomTractability.HARD
     return HomTractability.TRACTABLE
 
@@ -326,12 +311,10 @@ class GeneratorMatrix:
         for i, row in enumerate(rows):
             if len(row) != length:
                 raise InputError(f"generator row {i} has inconsistent length")
-            mask = 0
-            for j, bit in enumerate(row):
-                if bit not in (0, 1):
-                    raise InputError(f"generator entry ({i},{j}) must be 0 or 1")
-                mask |= bit << (length - 1 - j)
-            masks.append(mask)
+            bad = next((j for j, bit in enumerate(row) if bit not in (0, 1)), None)
+            if bad is not None:
+                raise InputError(f"generator entry ({i},{bad}) must be 0 or 1")
+            masks.append(int("".join(["1" if bit else "0" for bit in row]) or "0", 2))
         return GeneratorMatrix(length, tuple(masks))
 
     @property
@@ -383,14 +366,12 @@ def incidence_code(graph: Graph, budget: int | None = None) -> GeneratorMatrix:
     if not is_connected(graph):
         raise Refusal("the cut-space code is only defined for connected graphs")
     _check_word_count(graph.num_vertices - 1, budget)
-    rows = []
-    for v in range(graph.num_vertices - 1):
-        mask = 0
-        for j, (a, b) in enumerate(graph.edges):
-            if v in (a, b):
-                mask |= 1 << (graph.num_edges - 1 - j)
-        rows.append(mask)
-    return GeneratorMatrix(graph.num_edges, tuple(rows))
+    rows = [0] * graph.num_vertices
+    for j, (a, b) in enumerate(graph.edges):
+        bit = 1 << (graph.num_edges - 1 - j)
+        rows[a] |= bit
+        rows[b] |= bit
+    return GeneratorMatrix(graph.num_edges, tuple(rows[:-1]))
 
 
 def cut_identity_sides(
@@ -501,14 +482,10 @@ def parse_generator(text: str) -> GeneratorMatrix:
         raise InputError("empty generator description")
     rows = []
     for line in lines:
-        bits = []
-        for ch in line:
-            if ch in " \t":
-                continue
-            if ch not in "01":
-                raise InputError(f"generator line {line!r} holds a non-binary symbol")
-            bits.append(int(ch))
-        rows.append(bits)
+        bits = line.replace(" ", "").replace("\t", "")
+        if not set(bits) <= {"0", "1"}:
+            raise InputError(f"generator line {line!r} holds a non-binary symbol")
+        rows.append(list(map(int, bits)))
     return GeneratorMatrix.from_bits(rows)
 
 

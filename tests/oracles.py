@@ -257,6 +257,18 @@ def distinct_filtered_z(instance, diseq_position: int) -> Fraction:
     return total
 
 
+def connected_direct(graph) -> bool:
+    """Grow the set reached from vertex 0 until no edge leaves it."""
+    if graph.num_vertices == 0:
+        return True
+    reached = {0}
+    while True:
+        grown = reached | {w for edge in graph.edges if reached & set(edge) for w in edge}
+        if grown == reached:
+            return len(reached) == graph.num_vertices
+        reached = grown
+
+
 def ising_direct(graph, lam: Fraction) -> Fraction:
     """Direct edge-product enumeration of the two-spin value."""
     total = _ZERO

@@ -883,6 +883,34 @@ def test_huge_sparse_graph_is_refused_without_adjacency_lists(tmp_path, command)
     )
 
 
+def test_gen_refuses_a_huge_graph_before_listing_its_vertex_pairs():
+    # the list of 5 * 10**9 candidate pairs ended in a MemoryError; a child
+    # process under a 1 GiB address-space cap fails fast instead
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import wcsp.cli\n"
+        "sys.exit(wcsp.cli.main(sys.argv[1:]))\n"
+    )
+    start = time.perf_counter()
+    result = subprocess.run(
+        [
+            sys.executable, "-c", script,
+            "gen", "--profile", "graph-hom", "--seed", "1", "--variables", "100000",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 3 and not result.stdout
+    assert result.stderr == (
+        "wcsp: refused: a graph on 100000 vertices has 4999950000 vertex pairs, "
+        "beyond the table budget 16777216\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify / gen / plumbing
 

@@ -1,9 +1,10 @@
-"""Every package module reads each name it imports and formats each f-string.
+"""Every package module reads each name it imports or binds, and formats each f-string.
 
 No linter is required to work on the package, so these AST checks stand in
-for the unused-import rule (F401) and the placeholder-free f-string rule
-(F541).  ``__init__.py`` re-exports by design and is skipped by the import
-check; an import line marked ``# noqa: F401`` is a deliberate re-export.
+for the unused-import rule (F401), the placeholder-free f-string rule (F541)
+and the unused-local rule (F841).  ``__init__.py`` re-exports by design and is
+skipped by the import check; an import line marked ``# noqa: F401`` is a
+deliberate re-export.
 """
 
 import ast
@@ -55,6 +56,54 @@ def placeholderless_fstrings(source: str) -> list[int]:
     ]
 
 
+def unused_locals(source: str) -> list[str]:
+    """The names each function binds and never reads, as ``function.name``.
+
+    Assignments, augmented assignments and ``for`` and ``with`` targets bind a
+    name; a read anywhere in the function, nested scopes included, counts.
+    Names that start with ``_`` are exempt, and so are names a ``global`` or
+    ``nonlocal`` statement hands to an enclosing scope.
+    """
+    hits = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound: dict[str, int] = {}
+        declared: set[str] = set()
+        pending = list(function.body)
+        while pending:  # the function's own scope, not the scopes nested in it
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.For, ast.AsyncFor)):
+                targets = [node.target]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                targets = [item.optional_vars for item in node.items if item.optional_vars]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        bound.setdefault(name.id, name.lineno)
+            pending.extend(ast.iter_child_nodes(node))
+        read = {
+            node.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        hits += [
+            f"{function.name}.{name}"
+            for name, _line in sorted(bound.items(), key=lambda item: item[1])
+            if name not in read and name not in declared and not name.startswith("_")
+        ]
+    return hits
+
+
 def test_the_check_finds_unused_names():
     source = (
         "import os\n"
@@ -90,3 +139,30 @@ def test_the_check_finds_fstrings_without_placeholders():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_formats_every_fstring(path):
     assert placeholderless_fstrings(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_unused_locals():
+    source = (
+        "total = 0\n"
+        "def f(rows):\n"
+        "    global total\n"
+        "    total = 1\n"
+        "    count = 0\n"
+        "    count += 1\n"
+        "    for i, row in enumerate(rows):\n"
+        "        first, *rest = row\n"
+        "    with open('x') as handle:\n"
+        "        _, kept = 1, 2\n"
+        "    size: int = 3\n"
+        "    width: int\n"
+        "    def g():\n"
+        "        inner = 1\n"
+        "        return kept + size\n"
+        "    return lambda: first\n"
+    )
+    assert unused_locals(source) == ["f.count", "f.i", "f.rest", "f.handle", "g.inner"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_every_local(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []

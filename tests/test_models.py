@@ -1,5 +1,6 @@
 """Graph homomorphism targets, code enumerators, and the cut identity."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     bg_2x2_expected,
     bulatov_grohe_direct,
+    connected_direct,
     ising_direct,
     rank1_hom_value,
     weight_enum_direct,
@@ -72,6 +74,19 @@ def test_is_connected():
     assert is_connected(Graph.from_edges(1, []))
     assert is_connected(Graph.from_edges(0, []))
     assert not is_connected(Graph.from_edges(2, []))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@given(small_graphs())
+def test_is_connected_matches_reachability(graph):
+    assert is_connected(graph) == connected_direct(graph)
 
 
 @given(st.integers(0, 50), st.integers(2, 8))
@@ -354,6 +369,19 @@ def test_generator_matrix_validation():
     assert good.rows == (0b101, 0b011)
 
 
+def test_generator_matrix_from_bits_edge_cases():
+    assert GeneratorMatrix.from_bits([[True, False, True]]).rows == (0b101,)
+    with pytest.raises(InputError, match="code length must be positive"):
+        GeneratorMatrix.from_bits([[]])
+    # rows are checked in order, each for its length before its entries
+    with pytest.raises(InputError, match=r"generator entry \(0,1\) must be 0 or 1"):
+        GeneratorMatrix.from_bits([[1, 2], [1]])
+    with pytest.raises(InputError, match="generator row 1 has inconsistent length"):
+        GeneratorMatrix.from_bits([[1, 0], [1, 2, 0]])
+    with pytest.raises(InputError, match="at least one row"):
+        GeneratorMatrix.from_bits([])
+
+
 def test_weight_enumerator_hand_values():
     lam = F(3)
     assert weight_enumerator(GeneratorMatrix.from_bits([[1, 1]]), lam) == 1 + lam**2
@@ -494,6 +522,14 @@ def test_parse_generator():
         parse_generator("102\n")
     with pytest.raises(InputError):
         parse_generator("11\n11\n")
+
+
+def test_parse_generator_packs_a_long_row_in_linear_time():
+    # packing one bit at a time took 8-10 s on this row (2-vCPU VM)
+    start = time.perf_counter()
+    generator = parse_generator("1" * 10**6 + "\n")
+    assert time.perf_counter() - start < 1.0
+    assert generator.rows == ((1 << 10**6) - 1,)
 
 
 def test_load_helpers_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from oracles import (
     affine_by_closure,
     bg_2x2_expected,
+    connected_direct,
     decode,
     encode,
     enumerate_affine_supports,
@@ -73,6 +74,14 @@ def test_gf2_count_direct():
     assert gf2_count_direct(3, [(0b111, 1)]) == 4
     assert gf2_count_direct(1, [(0b1, 0), (0b1, 1)]) == 0
     assert gf2_count_direct(5, []) == 32
+
+
+def test_connected_direct_hand_values():
+    assert connected_direct(Graph.from_edges(0, []))
+    assert connected_direct(Graph.from_edges(1, []))
+    assert not connected_direct(Graph.from_edges(2, []))
+    assert connected_direct(Graph.from_edges(4, [(2, 3), (1, 2), (0, 1)]))  # path
+    assert not connected_direct(Graph.from_edges(4, [(0, 1), (2, 3)]))  # two edges
 
 
 def test_ising_direct_hand_values():
