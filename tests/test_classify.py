@@ -314,8 +314,8 @@ def test_classify_function_report_fields():
         for point in itertools.product((0, 1), repeat=3)
         # row bit i is coordinate i
         if all(
-            sum(point[i] for i in range(3) if mask >> i & 1) % 2 == constant
-            for mask, constant in system.rows
+            sum(point[i] for i in range(3) if mask << low >> i & 1) % 2 == constant
+            for low, mask, constant in system.rows
         )
     }
     assert solutions == {(0, 0, 1), (0, 1, 1)}

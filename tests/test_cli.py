@@ -644,6 +644,7 @@ def test_reduce_pin(tmp_path, capsys):
         capsys, "reduce", "pin", path, "--variable", "0", "--value", "1", "--verify"
     )
     assert code == 0 and report["verified"] is True
+    assert err == "wcsp: verified: pinned value matches the enumeration oracle\n"
     constraints = report["instance"]["constraints"]
     assert constraints[-1] == {"f": "delta1", "scope": [0]}
 

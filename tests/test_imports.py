@@ -2,9 +2,9 @@
 
 No linter is required to work on the package, so these AST checks stand in
 for the unused-import rule (F401), the placeholder-free f-string rule (F541)
-and the unused-local rule (F841).  ``__init__.py`` re-exports by design and is
-skipped by the import check; an import line marked ``# noqa: F401`` is a
-deliberate re-export.
+and the unused-local rule (F841), which also guards the test files.
+``__init__.py`` re-exports by design and is skipped by the import check; an
+import line marked ``# noqa: F401`` is a deliberate re-export.
 """
 
 import ast
@@ -14,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wcsp"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -163,6 +164,10 @@ def test_the_check_finds_unused_locals():
     assert unused_locals(source) == ["f.count", "f.i", "f.rest", "f.handle", "g.inner"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_module_reads_every_local(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []

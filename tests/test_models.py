@@ -408,6 +408,9 @@ def test_weight_enumerator_matches_direct_enumeration(seed, lam):
             continue
         rows = candidate
         break
+    # row bits pack with coordinate 0 on top
+    assert generator.length == length
+    assert generator.rows == tuple(int("".join(map(str, row)), 2) for row in rows)
     assert weight_enumerator(generator, lam) == weight_enum_direct(generator, lam)
 
 

@@ -532,6 +532,10 @@ def test_symmetrize_random_parity_supported_tables(seed):
     f = WeightFunction(3, 2, tuple(table))
     symmetrized, balance, flattened = symmetrize_parity(f)
     assert balance > 0
+    for point in itertools.product((0, 1), repeat=3):
+        value = symmetrized.lookup(point)
+        assert all(symmetrized.lookup(order) == value for order in itertools.permutations(point))
+    assert frozenset(symmetrized.support_indices()) == frozenset(support)
     assert is_pure_affine(flattened)
     assert frozenset(flattened.support_indices()) == frozenset(support)
 

@@ -1,6 +1,7 @@
 """Polynomial evaluators versus the enumeration oracle."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from oracles import partition_function_direct
 
 import wcsp.tractable as tractable
 from wcsp.errors import Refusal
-from wcsp.generate import product_type_chain, random_instance
+from wcsp.generate import parity_spread, product_type_chain, random_instance
 from wcsp.library import (
     binary_disequality,
     binary_equality,
@@ -237,6 +238,26 @@ def test_product_route_is_linear_including_big_integers(build, closed_form):
     assert seconds[10**5] <= max(20 * seconds[10**4], 2.0), seconds
 
 
+def test_pure_affine_route_is_linear_in_time_and_memory():
+    seconds = {}
+    for n in (10**4, 10**5):
+        instance = parity_spread(n)
+        started = time.perf_counter()
+        value, route = evaluate(instance)
+        seconds[n] = time.perf_counter() - started
+        assert route == "pure-affine"
+        assert value == 2**n
+    assert seconds[10**5] <= max(20 * seconds[10**4], 2.0), seconds
+    # rows as wide as n would hold about n**2 / 16 bytes, 625 MB at 10**5
+    tracemalloc.start()
+    try:
+        evaluate(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # pure-affine evaluator
 
@@ -264,6 +285,55 @@ def test_pure_affine_hand_values():
         2, 1, {"d0": delta(0), "d1": delta(1)}, [("d0", (0,)), ("d1", (0,))]
     )
     assert eval_pure_affine(contradiction) == 0
+
+
+@st.composite
+def _affine_functions(draw):
+    """A level times the indicator of a random coset, of arity 1..4."""
+    arity = draw(st.integers(1, 4))
+    members = {draw(st.integers(0, (1 << arity) - 1))}
+    for step in draw(st.lists(st.integers(1, (1 << arity) - 1), max_size=arity)):
+        members |= {m ^ step for m in members}
+    level = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3)]))
+    table = tuple(level if i in members else F(0) for i in range(1 << arity))
+    return WeightFunction(arity, 2, table)
+
+
+@st.composite
+def _affine_instances(draw):
+    """Pure-affine instances whose scopes may repeat a variable, with their
+    variable labels shuffled so that rows need not follow the labels' order."""
+    n = draw(st.integers(1, 7))
+    functions = {f"a{i}": draw(_affine_functions()) for i in range(draw(st.integers(1, 3)))}
+    label = draw(st.permutations(range(n)))
+    constraints = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(sorted(functions)))
+        arity = functions[name].arity
+        scope = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity))
+        constraints.append((name, [label[v] for v in scope]))
+    return _instance(2, n, functions, constraints)
+
+
+@given(_affine_instances())
+@example(  # x ^ x = 1 cancels to the row 0 = 1
+    _instance(
+        2,
+        3,
+        {"xor3": parity_indicator(3), "neq": binary_disequality()},
+        [("xor3", (2, 0, 1)), ("neq", (1, 1))],
+    )
+)
+@example(  # x ^ x ^ y = 1 pins y, beside a chain whose labels run backwards
+    _instance(
+        2,
+        5,
+        {"xor3": scale_function(parity_indicator(3), F(3))},
+        [("xor3", (4, 3, 2)), ("xor3", (3, 2, 1)), ("xor3", (0, 0, 2))],
+    )
+)
+def test_pure_affine_matches_enumeration_on_shuffled_labels(instance):
+    assert eval_pure_affine(instance) == brute_force_z(instance)
 
 
 def test_pure_affine_refusals():
@@ -343,8 +413,6 @@ def test_evaluate_agrees_with_enumeration(profile, seed):
 
 
 def test_polynomial_routes_handle_sizes_enumeration_cannot():
-    from wcsp.generate import parity_spread, product_type_chain
-
     chain = product_type_chain(400)
     value, route = evaluate(chain, budget=2**20)
     assert route == "product-type" and value > 0
