@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
+from itertools import repeat
 from math import ceil, lcm, log2, prod
-from operator import attrgetter, itemgetter, lshift, sub, xor
+from operator import itemgetter
 
 # is_pure_affine and affine_system_of are re-exported: perfbench/tracing.py
 # wraps them by name.
@@ -190,34 +190,27 @@ def eval_pure_affine(instance: Instance) -> Fraction:
     The value is the product of each constraint's non-zero level times the
     GF(2) solution count of the accumulated support systems, both read from
     the used functions' pure-affine witnesses; a used function without one
-    is refused.  Constrained variables are numbered by first appearance in
-    the constraint list, so each row spans what the instance's own locality
-    gives it, whatever its labels.
+    is refused.  Each row spans only the variables its constraint ties.
     """
     witnesses = _witnesses(instance, "pure affine", "affine_witness")
     scopes: dict[str, list[tuple[int, ...]]] = {name: [] for name in witnesses}
     for c in instance.constraints:
         scopes[c.function].append(c.scope)
-    first = dict.fromkeys(chain.from_iterable(map(attrgetter("scope"), instance.constraints)))
-    number = dict(zip(first, range(len(first))))
 
     rows: list[tuple[int, int, int]] = []
     levels: list[Fraction] = []
     for name, group in scopes.items():
         witness = witnesses[name]
         levels.append(witness.level ** len(group))
-        # coordinate i of every scope in the group, numbered; each witness
-        # row then maps over whole columns, not scope by scope
-        columns = [
-            list(map(number.__getitem__, map(itemgetter(i), group)))
-            for i in range(len(group[0]))
-        ]
+        # Coordinate i of every scope in the group: each witness row is then
+        # built for all of the group's constraints at once, column by column.
+        columns = [list(map(itemgetter(i), group)) for i in range(len(group[0]))]
         for low, mask, constant in witness.system.rows:
             picked = [columns[low + j] for j in range(mask.bit_length()) if mask >> j & 1]
             lows = list(map(min, *picked)) if len(picked) > 1 else picked[0]
-            masks = repeat(0)
+            masks = [0] * len(group)
             for column in picked:  # a variable repeated in a scope cancels
-                masks = map(xor, masks, map(lshift, repeat(1), map(sub, column, lows)))
+                masks = [m ^ 1 << (v - b) for m, v, b in zip(masks, column, lows)]
             rows.extend(zip(lows, masks, repeat(constant)))
     count = count_solutions(Gf2System(instance.num_variables, tuple(rows)))
     return exact_product([*levels, count])

@@ -38,7 +38,7 @@ def test_system_validation_bounds_each_row_by_its_span():
     Gf2System(4, ((3, 0b1, 1), (1, 0b101, 0), (4, 0, 1)))
     with pytest.raises(InputError, match="^row 1: coefficient mask 2 out of range$"):
         Gf2System(4, ((0, 0b1, 0), (3, 0b10, 0)))
-    with pytest.raises(InputError, match="^row 0: coefficient mask 0 out of range$"):
+    with pytest.raises(InputError, match="^row 0: lowest variable 5 out of range$"):
         Gf2System(4, ((5, 0, 0),))
     with pytest.raises(InputError, match="^row 0: coefficient mask -1 out of range$"):
         Gf2System(4, ((0, -1, 0),))
