@@ -15,7 +15,7 @@ evaluators in :mod:`wcsp.tractable` run on those witnesses alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +57,7 @@ def is_affine_relation(relation: Relation) -> bool:
 
 def has_affine_support(fn: WeightFunction) -> bool:
     """Whether the support is affine; an empty support counts as affine."""
-    return classify_function("", fn).affine_support
+    return classify_function(fn).affine_support
 
 
 def is_pure_affine(fn: WeightFunction) -> bool:
@@ -66,7 +66,7 @@ def is_pure_affine(fn: WeightFunction) -> bool:
     The identically-zero function is *not* pure affine (its support is empty),
     though it is product type.
     """
-    return classify_function("", fn).pure_affine
+    return classify_function(fn).pure_affine
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +76,10 @@ def is_pure_affine(fn: WeightFunction) -> bool:
 def useful_indices(fn: WeightFunction) -> list[int]:
     """Coordinates (0-based) where both slices carry some non-zero weight."""
     _require_boolean(fn, "useful index test")
-    k, table = fn.arity, fn.table
-    strides = [1 << (k - 1 - i) for i in range(k)]
+    table = fn.table
     return [
         i
-        for i, stride in enumerate(strides)
+        for i, stride in enumerate(strides(fn.arity, 2))
         if any(table[m] and table[m | stride] for m in range(len(table)) if not m & stride)
     ]
 
@@ -94,11 +93,11 @@ def is_product_like(fn: WeightFunction) -> tuple[bool, dict[int, Fraction]]:
     Returns the flag and the ratio for each useful coordinate.
     """
     _require_boolean(fn, "product-like test")
-    k = fn.arity
     table = fn.table
+    step = strides(fn.arity, 2)
     ratios: dict[int, Fraction] = {}
     for i in useful_indices(fn):
-        stride = 1 << (k - 1 - i)
+        stride = step[i]
         ratio: Fraction | None = None
         for index in range(len(table)):
             if index & stride:
@@ -175,7 +174,7 @@ def is_product_type(fn: WeightFunction) -> tuple[bool, ProductWitness | None]:
     and each row must equal its parent row times one class ratio (see
     :func:`_product_witness`).
     """
-    witness = classify_function("", fn).witness
+    witness = classify_function(fn).witness
     return witness is not None, witness
 
 
@@ -260,7 +259,6 @@ class AffineWitness:
 class FunctionReport:
     """Per-function verdicts: a tractable class holds exactly when its witness is set."""
 
-    name: str
     affine_support: bool
     witness: ProductWitness | None
     affine_witness: AffineWitness | None
@@ -287,7 +285,7 @@ class Verdict:
     hard_pair: tuple[str, str] | None
 
 
-def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
+def classify_function(fn: WeightFunction) -> FunctionReport:
     _require_boolean(fn, "product type test")
     # Both tractable tests read one coset of the support; pure affine is an
     # affine support with one non-zero level, witnessed with the coset's system.
@@ -298,7 +296,6 @@ def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
     pure = coset is not None and all(fn.table[i] == level for i in support)
     affine = AffineWitness(level, coset_system(fn.arity, *coset)) if pure else None
     return FunctionReport(
-        name=name,
         affine_support=coset is not None or not support,
         witness=witness,
         affine_witness=affine,
@@ -307,13 +304,14 @@ def classify_function(name: str, fn: WeightFunction) -> FunctionReport:
 
 @lru_cache(maxsize=8)
 def _table_report(fn: WeightFunction) -> FunctionReport:
-    """The report of one table (arity, domain size and entries), unnamed.
+    """The report of one table (arity, domain size and entries).
 
-    Reductions call the evaluator several times on one catalog, and each call
-    classifies it; the few most recent tables cover such a catalog, and the
-    bound keeps large tables from piling up over many of them.
+    Equal tables share one report.  A reduction calls the evaluator several
+    times on one catalog, and each call classifies it once; the few most
+    recent tables cover such a catalog, and the bound keeps large tables from
+    piling up over many of them.
     """
-    return classify_function("", fn)
+    return classify_function(fn)
 
 
 def classify_family(functions: Mapping[str, WeightFunction]) -> Verdict:
@@ -322,9 +320,7 @@ def classify_family(functions: Mapping[str, WeightFunction]) -> Verdict:
     When every function satisfies both tractable conditions the product-type
     verdict is preferred.
     """
-    reports = {
-        name: replace(_table_report(fn), name=name) for name, fn in functions.items()
-    }
+    reports = {name: _table_report(fn) for name, fn in functions.items()}
     if all(r.product_type for r in reports.values()):
         return Verdict(FamilyVerdict.PRODUCT_TYPE_FP, reports, None)
     if all(r.pure_affine for r in reports.values()):

@@ -467,7 +467,7 @@ def extract_unary(fn: WeightFunction) -> UnaryExtraction | PinRecursion:
     support = fn.support_indices()
     if not support:
         raise Refusal("unary extraction needs a non-empty support")
-    report = classify_function("", fn)
+    report = classify_function(fn)
     if not report.affine_support:
         raise Refusal("unary extraction requires an affine support")
     if report.pure_affine:

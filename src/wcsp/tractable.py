@@ -109,42 +109,33 @@ def exact_product(factors: list[Fraction | int]) -> Fraction:
     return Fraction(_tree_product(numerators), _tree_product(denominators))
 
 
-def _classify_used(instance: Instance) -> Verdict:
-    """Classify the functions some constraint uses; unused ones never matter.
+def _witnesses(instance: Instance, verdict: Verdict, kind: str, field: str) -> dict:
+    """The witnesses of one kind in the verdict's reports, by function name.
 
-    Reports of recent tables are kept, so an evaluator called by
-    :func:`evaluate` reads the reports that routing has just built.
-    """
-    return classify_family(used_functions(instance.functions, instance.constraints))
-
-
-def _witnesses(instance: Instance, kind: str, field: str) -> dict:
-    """The used functions' witnesses of one kind, by function name.
-
-    Refuses a domain other than {0, 1}, and the first used function whose
-    report has no ``field`` witness, pointing at :func:`evaluate`.
+    Refuses a domain other than {0, 1}, and the first reported function
+    without a ``field`` witness, pointing at :func:`evaluate`.
     """
     if instance.domain_size != 2:
         raise Refusal(f"the {kind.replace(' ', '-')} evaluator handles domain size 2 only")
     witnesses = {}
-    for report in _classify_used(instance).per_function.values():
+    for name, report in verdict.per_function.items():
         witness = getattr(report, field)
         if witness is None:
             raise Refusal(
-                f"function {report.name!r} is not {kind}; "
+                f"function {name!r} is not {kind}; "
                 "call evaluate() to route the instance instead"
             )
-        witnesses[report.name] = witness
+        witnesses[name] = witness
     return witnesses
 
 
-def eval_product_type(instance: Instance) -> Fraction:
+def eval_product_type(instance: Instance, verdict: Verdict) -> Fraction:
     """Exact partition function of an all-product-type instance, near-linear time.
 
-    Runs on the product-type witnesses of the used functions, and refuses
-    (pointing at :func:`evaluate`) when a used function has none.
+    Runs on the product-type witnesses in ``verdict``, which classifies the
+    used functions; a function without one is refused, pointing at :func:`evaluate`.
     """
-    witnesses = _witnesses(instance, "product type", "witness")
+    witnesses = _witnesses(instance, verdict, "product type", "witness")
     union = ParityUnionFind(instance.num_variables)
     scales: list[Fraction] = []
     # Factors for one side of one variable, 2 * variable + side, with factor
@@ -184,15 +175,16 @@ def eval_product_type(instance: Instance) -> Fraction:
     return exact_product([*scales, *totals, 1 << free])
 
 
-def eval_pure_affine(instance: Instance) -> Fraction:
+def eval_pure_affine(instance: Instance, verdict: Verdict) -> Fraction:
     """Exact partition function of an instance whose used functions are pure affine.
 
     The value is the product of each constraint's non-zero level times the
     GF(2) solution count of the accumulated support systems, both read from
-    the used functions' pure-affine witnesses; a used function without one
-    is refused.  Each row spans only the variables its constraint ties.
+    the pure-affine witnesses in ``verdict``, which classifies the used
+    functions; a function without one is refused.  Each row spans only the
+    variables its constraint ties.
     """
-    witnesses = _witnesses(instance, "pure affine", "affine_witness")
+    witnesses = _witnesses(instance, verdict, "pure affine", "affine_witness")
     scopes: dict[str, list[tuple[int, ...]]] = {name: [] for name in witnesses}
     for c in instance.constraints:
         scopes[c.function].append(c.scope)
@@ -200,6 +192,8 @@ def eval_pure_affine(instance: Instance) -> Fraction:
     rows: list[tuple[int, int, int]] = []
     levels: list[Fraction] = []
     for name, group in scopes.items():
+        if not group:
+            continue  # reported by the verdict, used by no constraint
         witness = witnesses[name]
         levels.append(witness.level ** len(group))
         # Coordinate i of every scope in the group: each witness row is then
@@ -297,7 +291,8 @@ def evaluate(
     Returns the value and the evaluator used: ``product-type``,
     ``pure-affine`` or ``elimination``, or ``brute-force`` when
     ``force_oracle`` asks for the enumeration oracle.  Only the functions that
-    some constraint uses are classified.  Hard families, and domains other
+    some constraint uses are classified, once, and the chosen tractable
+    evaluator runs on that verdict.  Hard families, and domains other
     than {0, 1}, go to bucket elimination, which refuses when its largest
     table exceeds the budget; the oracle refuses beyond ``q**n`` states.
     Every other route refuses an instance whose ``n * log2(q)`` exceeds
@@ -315,9 +310,9 @@ def evaluate(
             f"beyond the limit of {MAX_VALUE_BITS}"
         )
     if instance.domain_size == 2:
-        verdict = _classify_used(instance)
+        verdict = classify_family(used_functions(instance.functions, instance.constraints))
         if verdict.family is FamilyVerdict.PRODUCT_TYPE_FP:
-            return eval_product_type(instance), "product-type"
+            return eval_product_type(instance, verdict), "product-type"
         if verdict.family is FamilyVerdict.PURE_AFFINE_FP:
-            return eval_pure_affine(instance), "pure-affine"
+            return eval_pure_affine(instance, verdict), "pure-affine"
     return eval_elimination(instance, budget), "elimination"

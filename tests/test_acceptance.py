@@ -17,7 +17,7 @@ from oracles import (
     pure_affine_direct,
     rank1_hom_value,
 )
-from wcsp.classify import is_product_type, is_pure_affine
+from wcsp.classify import classify_family, is_product_type, is_pure_affine
 from wcsp.generate import (
     parity_spread,
     random_connected_graph,
@@ -31,7 +31,7 @@ from wcsp.library import (
     full_disequality,
     unary_weight,
 )
-from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z
+from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z, used_functions
 from wcsp.models import (
     HomTractability,
     TargetMatrix,
@@ -57,6 +57,11 @@ from wcsp.reductions import (
 from wcsp.tractable import eval_product_type, eval_pure_affine, evaluate
 
 F = Fraction
+
+
+def _verdict(instance):
+    """The classification of the used functions, as evaluate() builds it."""
+    return classify_family(used_functions(instance.functions, instance.constraints))
 
 
 def _report(index, label, ok):
@@ -92,12 +97,12 @@ def test_02_fast_evaluators_match_brute_force():
         inst = random_instance(
             "product-type", 1000 + trial, num_variables=n, num_constraints=m
         )
-        if eval_product_type(inst) != brute_force_z(inst):
+        if eval_product_type(inst, _verdict(inst)) != brute_force_z(inst):
             mismatches += 1
         inst = random_instance(
             "pure-affine", 5000 + trial, num_variables=n, num_constraints=m
         )
-        if eval_pure_affine(inst) != brute_force_z(inst):
+        if eval_pure_affine(inst, _verdict(inst)) != brute_force_z(inst):
             mismatches += 1
     _report(
         2,

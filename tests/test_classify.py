@@ -7,7 +7,6 @@ serve as ground truth on exhaustive small inputs.
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -296,8 +295,7 @@ def test_empty_family_is_product_type():
 
 
 def test_classify_function_report_fields():
-    report = classify_function("skew", fn(2, 1, 3, 2, 6))
-    assert report.name == "skew"
+    report = classify_function(fn(2, 1, 3, 2, 6))
     assert report.product_type
     assert not report.pure_affine
     assert report.affine_support  # full support is affine
@@ -305,7 +303,7 @@ def test_classify_function_report_fields():
     assert report.affine_witness is None  # four distinct non-zero levels
 
     # support {(0,0,1), (0,1,1)} at level 5: x0 = 0, x2 = 1, x1 free
-    report = classify_function("half", fn(3, 0, 5, 0, 5, 0, 0, 0, 0))
+    report = classify_function(fn(3, 0, 5, 0, 5, 0, 0, 0, 0))
     assert report.pure_affine and report.affine_support
     assert report.affine_witness.level == 5
     system = report.affine_witness.system
@@ -319,16 +317,16 @@ def test_classify_function_report_fields():
         )
     }
     assert solutions == {(0, 0, 1), (0, 1, 1)}
-    assert classify_function("or", fn(2, 0, 3, 3, 3)).affine_witness is None
-    assert classify_function("zero", fn(1, 0, 0)).affine_witness is None
+    assert classify_function(fn(2, 0, 3, 3, 3)).affine_witness is None
+    assert classify_function(fn(1, 0, 0)).affine_witness is None
 
 
 def test_equal_tables_hash_equal_and_are_classified_once(monkeypatch):
     classified = []
 
-    def counting(name, function):
-        classified.append(name)
-        return classify_function(name, function)
+    def counting(function):
+        classified.append(function)
+        return classify_function(function)
 
     first = WeightFunction(8, 2, tuple(F(bin(i).count("1") + 1) for i in range(256)))
     second = WeightFunction(8, 2, tuple(F(bin(i).count("1") + 1) for i in range(256)))
@@ -339,15 +337,15 @@ def test_equal_tables_hash_equal_and_are_classified_once(monkeypatch):
     verdict = classify_family({"first": first, "second": second})
     assert len(classified) == 1
     reports = verdict.per_function
-    assert replace(reports["first"], name="second") == reports["second"]
+    assert reports["first"] is reports["second"]
 
 
 def test_a_reduction_classifies_each_table_once(monkeypatch):
     classified = []
 
-    def counting(name, function):
+    def counting(function):
         classified.append(function)
-        return classify_function(name, function)
+        return classify_function(function)
 
     classify._table_report.cache_clear()
     monkeypatch.setattr(classify, "classify_function", counting)

@@ -32,7 +32,7 @@ def test_product_type_profile_members_classify_accordingly():
     for seed in range(12):
         inst = random_instance("product-type", seed, 5, 6)
         for name, fn in inst.functions.items():
-            assert classify_function(name, fn).product_type, (seed, name)
+            assert classify_function(fn).product_type, (seed, name)
 
 
 def test_pure_affine_profile_members_classify_accordingly():

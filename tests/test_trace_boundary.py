@@ -10,6 +10,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+from collections import Counter
 from pathlib import Path
 
 import wcsp.cli as cli
@@ -78,3 +79,13 @@ def test_traced_spans_fire_on_every_route(tmp_path):
         "reductions.pin_vars",
     }
     assert expected - fired == set()
+    # evaluate classifies once and hands its verdict to the evaluator it picks
+    tractable_ops = {
+        span[4]
+        for span in tracer.spans
+        if span[0] == "tractable.evaluate"
+        and span[5]["route"] in ("product-type", "pure-affine")
+        and _ROUTES[span[4]][0] == ["eval"]
+    }
+    classified = Counter(span[4] for span in tracer.spans if span[0] == "classify.family")
+    assert {op: classified[op] for op in tractable_ops} == {0: 1, 1: 1}

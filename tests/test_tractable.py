@@ -12,6 +12,7 @@ from oracles import partition_function_direct
 import wcsp.tractable as tractable
 from wcsp.errors import Refusal
 from wcsp.generate import parity_spread, product_type_chain, random_instance
+from wcsp.classify import classify_family
 from wcsp.library import (
     binary_disequality,
     binary_equality,
@@ -20,7 +21,14 @@ from wcsp.library import (
     scale_function,
     unary_weight,
 )
-from wcsp.model import MAX_VALUE_BITS, Constraint, Instance, WeightFunction, brute_force_z
+from wcsp.model import (
+    MAX_VALUE_BITS,
+    Constraint,
+    Instance,
+    WeightFunction,
+    brute_force_z,
+    used_functions,
+)
 from wcsp.models import Graph, hom_instance, ising_matrix
 from wcsp.tractable import (
     ParityUnionFind,
@@ -38,6 +46,11 @@ def _instance(q, n, functions, constraints):
     return Instance(
         n, q, functions, tuple(Constraint(f, tuple(s)) for f, s in constraints)
     )
+
+
+def _verdict(instance):
+    """The classification of the used functions, as evaluate() builds it."""
+    return classify_family(used_functions(instance.functions, instance.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -111,43 +124,47 @@ def test_product_type_hand_values():
     inst = _instance(
         2, 2, {"neq": neq, "lean": lean}, [("neq", (0, 1)), ("lean", (0,))]
     )
-    assert eval_product_type(inst) == 3
+    assert eval_product_type(inst, _verdict(inst)) == 3
 
     triangle = _instance(
         2, 3, {"neq": neq}, [("neq", (0, 1)), ("neq", (1, 2)), ("neq", (2, 0))]
     )
-    assert eval_product_type(triangle) == 0
+    assert eval_product_type(triangle, _verdict(triangle)) == 0
 
     lonely = _instance(2, 1, {}, [])
-    assert eval_product_type(lonely) == 2
+    assert eval_product_type(lonely, _verdict(lonely)) == 2
 
     skew = WeightFunction(2, 2, (F(1), F(3), F(2), F(6)))
-    assert eval_product_type(_instance(2, 2, {"skew": skew}, [("skew", (0, 1))])) == 12
+    alone = _instance(2, 2, {"skew": skew}, [("skew", (0, 1))])
+    assert eval_product_type(alone, _verdict(alone)) == 12
 
 
 def test_product_type_zero_function_annihilates():
     zero = WeightFunction(2, 2, (F(0),) * 4)
     inst = _instance(2, 3, {"z": zero}, [("z", (0, 1))])
-    assert eval_product_type(inst) == 0
+    assert eval_product_type(inst, _verdict(inst)) == 0
 
 
 def test_product_type_repeated_variable_in_scope():
     neq = binary_disequality()
     inst = _instance(2, 2, {"neq": neq}, [("neq", (0, 0))])
-    assert eval_product_type(inst) == 0  # v != v never holds, var 1 still free?
+    # neq on (0, 0) zeroes every assignment
+    assert eval_product_type(inst, _verdict(inst)) == 0
     eq = binary_equality()
     inst = _instance(2, 2, {"eq": eq}, [("eq", (0, 0))])
-    assert eval_product_type(inst) == 4
+    assert eval_product_type(inst, _verdict(inst)) == 4
 
 
 def test_product_type_refusals():
     xor3 = parity_indicator(3)
     inst = _instance(2, 3, {"xor3": xor3}, [("xor3", (0, 1, 2))])
+    verdict = _verdict(inst)
     with pytest.raises(Refusal):
-        eval_product_type(inst)
+        eval_product_type(inst, verdict)
     ternary = _instance(3, 1, {}, [])
+    verdict = _verdict(ternary)
     with pytest.raises(Refusal):
-        eval_product_type(ternary)
+        eval_product_type(ternary, verdict)
 
 
 # Product-type functions covering pins, plain and complemented ties, unary
@@ -211,7 +228,7 @@ def _product_instances(draw):
     )
 )
 def test_product_type_matches_enumeration_on_mixed_structure(instance):
-    assert eval_product_type(instance) == brute_force_z(instance)
+    assert eval_product_type(instance, _verdict(instance)) == brute_force_z(instance)
 
 
 def _empty(n):
@@ -265,26 +282,26 @@ def test_pure_affine_route_is_linear_in_time_and_memory():
 def test_pure_affine_hand_values():
     xor3 = parity_indicator(3)
     inst = _instance(2, 3, {"xor3": xor3}, [("xor3", (0, 1, 2))])
-    assert eval_pure_affine(inst) == 4
+    assert eval_pure_affine(inst, _verdict(inst)) == 4
 
     boosted = scale_function(xor3, F(3))
     twice = _instance(
         2, 3, {"f": boosted}, [("f", (0, 1, 2)), ("f", (0, 1, 2))]
     )
-    assert eval_pure_affine(twice) == 36  # 3*3 * #solutions(one equation)
+    assert eval_pure_affine(twice, _verdict(twice)) == 36  # 3*3 * #solutions(one equation)
 
     folded = _instance(2, 2, {"xor3": xor3}, [("xor3", (0, 0, 1))])
-    assert eval_pure_affine(folded) == 2  # x^x^y = 1 forces y = 1
+    assert eval_pure_affine(folded, _verdict(folded)) == 2  # x^x^y = 1 forces y = 1
 
     pinned = _instance(
         2, 3, {"xor3": xor3, "d0": delta(0)}, [("xor3", (0, 1, 2)), ("d0", (0,))]
     )
-    assert eval_pure_affine(pinned) == 2
+    assert eval_pure_affine(pinned, _verdict(pinned)) == 2
 
     contradiction = _instance(
         2, 1, {"d0": delta(0), "d1": delta(1)}, [("d0", (0,)), ("d1", (0,))]
     )
-    assert eval_pure_affine(contradiction) == 0
+    assert eval_pure_affine(contradiction, _verdict(contradiction)) == 0
 
 
 @st.composite
@@ -333,16 +350,19 @@ def _affine_instances(draw):
     )
 )
 def test_pure_affine_matches_enumeration_on_shuffled_labels(instance):
-    assert eval_pure_affine(instance) == brute_force_z(instance)
+    assert eval_pure_affine(instance, _verdict(instance)) == brute_force_z(instance)
 
 
 def test_pure_affine_refusals():
     lean = unary_weight(F(2))
     inst = _instance(2, 1, {"lean": lean}, [("lean", (0,))])
+    verdict = _verdict(inst)
     with pytest.raises(Refusal):
-        eval_pure_affine(inst)
+        eval_pure_affine(inst, verdict)
+    ternary = _instance(3, 1, {}, [])
+    verdict = _verdict(ternary)
     with pytest.raises(Refusal):
-        eval_pure_affine(_instance(3, 1, {}, []))
+        eval_pure_affine(ternary, verdict)
 
 
 def test_pure_affine_reads_only_used_functions_and_refuses_them_itself():
@@ -351,18 +371,25 @@ def test_pure_affine_reads_only_used_functions_and_refuses_them_itself():
     xor3 = parity_indicator(3)
     for bad in (at_least_one, zero):
         scope = tuple(range(bad.arity))
+        refused = _instance(2, 3, {"bad": bad}, [("bad", scope)])
+        verdict = _verdict(refused)
         with pytest.raises(Refusal, match="not pure affine"):
-            eval_pure_affine(_instance(2, 3, {"bad": bad}, [("bad", scope)]))
+            eval_pure_affine(refused, verdict)
     unused = _instance(2, 3, {"xor3": xor3, "bad": at_least_one}, [("xor3", (0, 1, 2))])
-    assert eval_pure_affine(unused) == 4
+    assert eval_pure_affine(unused, _verdict(unused)) == 4
+    # a verdict may also report functions that no constraint uses
+    spare = _instance(2, 3, {"xor3": xor3, "d0": delta(0)}, [("xor3", (0, 1, 2))])
+    assert eval_pure_affine(spare, classify_family(spare.functions)) == 4
 
 
 def test_product_type_reads_only_used_functions():
     functions = {"neq": binary_disequality(), "xor3": parity_indicator(3)}
     path = _instance(2, 4, functions, [("neq", (0, 1)), ("neq", (1, 2)), ("neq", (2, 3))])
-    assert eval_product_type(path) == 2
+    assert eval_product_type(path, _verdict(path)) == 2
+    refused = _instance(2, 3, functions, [("xor3", (0, 1, 2))])
+    verdict = _verdict(refused)
     with pytest.raises(Refusal, match="'xor3' is not product type"):
-        eval_product_type(_instance(2, 3, functions, [("xor3", (0, 1, 2))]))
+        eval_product_type(refused, verdict)
 
 
 # ---------------------------------------------------------------------------
