@@ -20,11 +20,11 @@ Key conventions, used everywhere in the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, Refusal
 
@@ -32,14 +32,22 @@ from .errors import InputError, Refusal
 #: ``conditioned_z``/``brute_force_z`` and the codewords of the code enumerator.
 DEFAULT_BUDGET = 2**30
 
-#: Largest ``n * log2(q)`` that ``tractable.evaluate`` accepts.  The value of
-#: an instance can reach ``q**n``; printing a 2**20-bit value takes about a
+#: Most bits a value may need (see :func:`check_value_bits`); the value of an
+#: instance can reach ``q**n``.  Printing a 2**20-bit value takes about a
 #: second, and four times as many bits take more than ten.
 MAX_VALUE_BITS = 2**20
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _T = TypeVar("_T")
+
+
+def check_value_bits(what: str, bits: int) -> None:
+    """Refuse, naming ``what``, a value that can need more than ``MAX_VALUE_BITS`` bits."""
+    if bits > MAX_VALUE_BITS:
+        raise Refusal(
+            f"{what}: the value can need {bits} bits or more, beyond the limit of {MAX_VALUE_BITS}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -253,43 +261,44 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Instance:
-    """Variables, a function catalog, and constraints; immutable once built."""
+    """Variables, a function catalog, and constraints; immutable once built.
+
+    ``scopes`` maps each used function, in catalog order, to its scopes in constraint order.
+    """
 
     num_variables: int
     domain_size: int
     functions: dict[str, WeightFunction]
     constraints: tuple[Constraint, ...]
+    scopes: dict[str, list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_size < 2:
             raise InputError(f"domain size must be at least 2, got {self.domain_size}")
         if self.num_variables < 0:
             raise InputError(f"negative variable count {self.num_variables}")
+        groups: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
         for name, fn in self.functions.items():
             if fn.domain_size != self.domain_size:
                 raise InputError(
                     f"function {name!r} has domain {fn.domain_size}, instance has {self.domain_size}"
                 )
+            groups[name] = (fn.arity, [])
         for pos, c in enumerate(self.constraints):
-            fn = self.functions.get(c.function)
-            if fn is None:
+            group = groups.get(c.function)
+            if group is None:
                 raise InputError(f"constraints[{pos}]: unknown function {c.function!r}")
-            if len(c.scope) != fn.arity:
+            arity, scopes = group
+            if len(c.scope) != arity:
                 raise InputError(
-                    f"constraints[{pos}]: scope length {len(c.scope)} != arity {fn.arity} "
+                    f"constraints[{pos}]: scope length {len(c.scope)} != arity {arity} "
                     f"of {c.function!r}"
                 )
             for v in c.scope:
                 if not 0 <= v < self.num_variables:
                     raise InputError(f"constraints[{pos}]: variable {v} out of range")
-
-
-def used_functions(
-    functions: Mapping[str, WeightFunction], constraints: Iterable[Constraint]
-) -> dict[str, WeightFunction]:
-    """The catalog entries that some constraint applies, in catalog order."""
-    used = {c.function for c in constraints}
-    return {name: fn for name, fn in functions.items() if name in used}
+            scopes.append(c.scope)
+        object.__setattr__(self, "scopes", {name: s for name, (_, s) in groups.items() if s})
 
 
 def brute_force_z(instance: Instance, budget: int | None = None) -> Fraction:

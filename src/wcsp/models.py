@@ -327,19 +327,19 @@ def weight_enumerator(
 ) -> Fraction:
     """Sum of ``weight**hamming_weight`` over all codewords of the row span.
 
-    Enumerates the span in Gray-code order, one row XOR per step.
+    Enumerates the span in Gray-code order, one row XOR per step, and counts
+    the codewords of each Hamming weight.
     """
     lam = Fraction(weight)
     dimension = generator.dimension
     _check_word_count(dimension, budget)
-    powers = [lam**w for w in range(generator.length + 1)]
+    counts = [1] + [0] * generator.length  # the zero word, then the others
     word = 0
-    total = powers[0]
     for step in range(1, 1 << dimension):
         flip = (step & -step).bit_length() - 1
         word ^= generator.rows[flip]
-        total += powers[word.bit_count()]
-    return total
+        counts[word.bit_count()] += 1
+    return sum(count * lam**w for w, count in enumerate(counts) if count)
 
 
 def _check_word_count(dimension: int, budget: int | None) -> None:

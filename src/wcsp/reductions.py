@@ -26,22 +26,20 @@ from .classify import classify_function
 from .errors import InputError, InvariantViolation, Refusal
 from .library import delta, parity_indicator, unary_weight
 from .model import (
-    MAX_VALUE_BITS,
     Constraint,
     Instance,
     WeightFunction,
+    check_value_bits,
     index_to_tuple,
     strides,
     table_indices,
     tuple_to_index,
-    used_functions,
 )
 from .models import row_reduce
 
 Evaluator = Callable[[Instance], Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +189,18 @@ def _split_pins(
     A pin is a unary point mass: one non-zero entry, equal to 1, read off the
     table itself.  Returns ``None`` when a variable is pinned to two values.
     """
-    pin_values = {}
-    for name, fn in instance.functions.items():
-        if fn.arity == 1:
-            support = fn.support_indices()
-            if len(support) == 1 and fn.table[support[0]] == 1:
-                pin_values[name] = support[0]
     pins: dict[int, int] = {}
-    remaining = []
-    for c in instance.constraints:
-        value = pin_values.get(c.function)
-        if value is None:
-            remaining.append(c)
-        elif pins.setdefault(c.scope[0], value) != value:
-            return None
-    return pins, remaining, used_functions(instance.functions, remaining)
+    family = {}
+    for name, scopes in instance.scopes.items():
+        fn = instance.functions[name]
+        support = fn.support_indices() if fn.arity == 1 else ()
+        if len(support) != 1 or fn.table[support[0]] != 1:
+            family[name] = fn
+            continue
+        for (var,) in scopes:
+            if pins.setdefault(var, support[0]) != support[0]:
+                return None
+    return pins, [c for c in instance.constraints if c.function in family], family
 
 
 def _relabel(
@@ -283,28 +278,27 @@ def interpolation_polynomial(
     if ratio <= 0 or ratio == 1:
         raise InputError("interpolation point must be positive and different from 1")
 
-    occurrences = sum(1 for c in instance.constraints if c.function == unary_name)
+    occurrences = len(instance.scopes.get(unary_name, ()))
     if occurrences > MAX_INTERPOLATION_OCCURRENCES:
         raise Refusal(
             f"{unary_name!r} occurs {occurrences} times; interpolation is "
             f"enforced up to {MAX_INTERPOLATION_OCCURRENCES} occurrences"
         )
+    # the probe weights and the Vandermonde entries reach point**(m * m)
+    point_bits = ratio.numerator.bit_length() + ratio.denominator.bit_length()
+    check_value_bits(
+        f"interpolating {unary_name!r} over {occurrences} occurrences at a {point_bits}-bit point",
+        occurrences * occurrences * point_bits,
+    )
     probe_name = _fresh_name("probe_unary", instance.functions)
-    values = []
-    for copies in range(occurrences + 1):
-        catalog = {n: f for n, f in instance.functions.items() if n != unary_name}
-        catalog[probe_name] = unary_weight(ratio)
-        constraints: list[Constraint] = []
-        for c in instance.constraints:
-            if c.function == unary_name:
-                constraints.extend([Constraint(probe_name, c.scope)] * copies)
-            else:
-                constraints.append(c)
-        values.append(
-            evaluator(
-                Instance(instance.num_variables, 2, catalog, tuple(constraints))
-            )
-        )
+    catalog = {n: f for n, f in instance.functions.items() if n != unary_name}
+    catalog[probe_name] = unary_weight(ratio)
+    others = tuple(c for c in instance.constraints if c.function != unary_name)
+    probes = tuple(Constraint(probe_name, s) for s in instance.scopes.get(unary_name, ()))
+    values = [
+        evaluator(Instance(instance.num_variables, 2, catalog, others + probes * copies))
+        for copies in range(occurrences + 1)
+    ]
     points = [ratio**j for j in range(occurrences + 1)]
     return _solve_vandermonde(points, values)
 
@@ -346,11 +340,7 @@ def parity_chain(width: int) -> Instance:
     # each split adds three variables and hands its two halves width + 2
     # inputs between them, so the chain has max(3, 4 * width - 9) variables
     variables = max(3, 4 * width - 9)
-    if variables > MAX_VALUE_BITS:
-        raise Refusal(
-            f"a parity chain of width {width} has 2**{variables} assignments: the "
-            f"value can need {variables} bits or more, beyond the limit of {MAX_VALUE_BITS}"
-        )
+    check_value_bits(f"a parity chain of width {width} has 2**{variables} assignments", variables)
     constraints: list[Constraint] = []
     counter = width
 
@@ -650,7 +640,9 @@ def mobius_pinning_reduce(
     base = tuple(
         c for i, c in enumerate(instance.constraints) if i != constraint_index
     )
-    catalog = used_functions(instance.functions, base)
+    catalog = {name: instance.functions[name] for name in instance.scopes}
+    if len(instance.scopes[target.function]) == 1:  # no other constraint uses it
+        del catalog[target.function]
     slots = {v: slot for slot, v in enumerate(target.scope)}
     return _mobius_sum(instance, catalog, base, slots, table, evaluator)
 

@@ -21,7 +21,7 @@ from operator import itemgetter
 from .classify import FamilyVerdict, Verdict, classify_family, is_pure_affine  # noqa: F401
 from .errors import Refusal
 from .gf2 import Gf2System, affine_system_of, count_solutions  # noqa: F401
-from .model import MAX_VALUE_BITS, Instance, brute_force_z, strides, table_indices, used_functions
+from .model import MAX_VALUE_BITS, Instance, brute_force_z, check_value_bits, strides, table_indices
 
 _ZERO = Fraction(0)
 
@@ -144,25 +144,26 @@ def eval_product_type(instance: Instance, verdict: Verdict) -> Fraction:
     # the cyclic garbage collector, whose full passes scan the whole instance.
     sided: list[int] = []
     factors: list[Fraction] = []
-    for c in instance.constraints:
-        witness = witnesses[c.function]
+    for name, scopes in instance.scopes.items():
+        witness = witnesses[name]
         if witness.scale == 0:
             return _ZERO  # a zero function annihilates every assignment
-        scales.append(witness.scale)
-        for col, val in witness.constant_columns:
-            sided.append(2 * c.scope[col] + 1 - val)
-            factors.append(_ZERO)
-        for cls in witness.classes:
-            rep_var = c.scope[cls.members[0][0]]
-            for side in (0, 1):
-                if cls.weights[side] != 1:
-                    sided.append(2 * rep_var + side)
-                    factors.append(cls.weights[side])
-            for col, complemented in cls.members[1:]:
-                if not union.union(rep_var, c.scope[col], 1 if complemented else 0):
-                    # a class with contradictory parities: both of its sums,
-                    # hence Z, are 0
-                    return _ZERO
+        scales.append(witness.scale ** len(scopes))
+        for scope in scopes:
+            for col, val in witness.constant_columns:
+                sided.append(2 * scope[col] + 1 - val)
+                factors.append(_ZERO)
+            for cls in witness.classes:
+                rep_var = scope[cls.members[0][0]]
+                for side in (0, 1):
+                    if cls.weights[side] != 1:
+                        sided.append(2 * rep_var + side)
+                        factors.append(cls.weights[side])
+                for col, complemented in cls.members[1:]:
+                    if not union.union(rep_var, scope[col], 1 if complemented else 0):
+                        # a class with contradictory parities: both of its
+                        # sums, hence Z, are 0
+                        return _ZERO
 
     sides: dict[int, tuple[list[Fraction], list[Fraction]]] = {}  # root -> factors
     for key, factor in zip(sided, factors):
@@ -185,15 +186,9 @@ def eval_pure_affine(instance: Instance, verdict: Verdict) -> Fraction:
     variables its constraint ties.
     """
     witnesses = _witnesses(instance, verdict, "pure affine", "affine_witness")
-    scopes: dict[str, list[tuple[int, ...]]] = {name: [] for name in witnesses}
-    for c in instance.constraints:
-        scopes[c.function].append(c.scope)
-
     rows: list[tuple[int, int, int]] = []
     levels: list[Fraction] = []
-    for name, group in scopes.items():
-        if not group:
-            continue  # reported by the verdict, used by no constraint
+    for name, group in instance.scopes.items():
         witness = witnesses[name]
         levels.append(witness.level ** len(group))
         # Coordinate i of every scope in the group: each witness row is then
@@ -214,22 +209,24 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
     """Exact partition function of any instance by bucket elimination.
 
     Each constraint becomes a factor over its scope, its table scaled to
-    integers by the table's common denominator; each position of a variable
-    repeated in a scope reads the same coordinate.  Variables are summed out
-    in min-degree order (Dechter, "Bucket elimination", 1999): eliminating one
-    multiplies the factors that mention it into a table over it and its
-    current neighbours.  The order, and so the largest such table, ``q**(width + 1)``
-    entries, is fixed before any table is built, and the budget
-    (``DEFAULT_TABLE_BUDGET`` when none is given) bounds that table.  Each
-    table is built already summed over its variable, so no larger one is held.
-    Variables that no constraint touches contribute ``q`` each.
+    integers, once per function, by the table's common denominator; each
+    position of a variable repeated in a scope reads the same coordinate.
+    Variables are summed out in min-degree order (Dechter, "Bucket
+    elimination", 1999): eliminating one multiplies the factors that mention
+    it into a table over it and its current neighbours.  The order, and so
+    the largest such table, ``q**(width + 1)`` entries, is fixed before any
+    table is built, and the budget (``DEFAULT_TABLE_BUDGET`` when none is
+    given) bounds that table.  Each table is built already summed over its
+    variable, so no larger one is held.  Variables that no constraint touches
+    contribute ``q`` each.
     """
     limit = DEFAULT_TABLE_BUDGET if budget is None else budget
     q = instance.domain_size
     neighbours: dict[int, set[int]] = {}
-    for c in instance.constraints:
-        for v in c.scope:
-            neighbours.setdefault(v, set()).update(u for u in c.scope if u != v)
+    for scopes in instance.scopes.values():
+        for scope in scopes:
+            for v in scope:
+                neighbours.setdefault(v, set()).update(u for u in scope if u != v)
     numerators = [q ** (instance.num_variables - len(neighbours))]
     heap = [(len(adjacent), v) for v, adjacent in neighbours.items()]
     heapify(heap)
@@ -260,11 +257,13 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
         else:
             numerators.append(table[0])
 
-    for c in instance.constraints:
-        table = instance.functions[c.function].table
+    for name, scopes in instance.scopes.items():
+        table = instance.functions[name].table
         denominator = lcm(*(x.denominator for x in table))
-        denominators.append(denominator)
-        place(c.scope, [x.numerator * (denominator // x.denominator) for x in table])
+        denominators.append(denominator ** len(scopes))
+        scaled = [x.numerator * (denominator // x.denominator) for x in table]
+        for scope in scopes:
+            place(scope, scaled)
 
     for v, bucket in zip(order, buckets):
         # v is the last, least significant, coordinate of the bucket's table,
@@ -291,26 +290,22 @@ def evaluate(
     Returns the value and the evaluator used: ``product-type``,
     ``pure-affine`` or ``elimination``, or ``brute-force`` when
     ``force_oracle`` asks for the enumeration oracle.  Only the functions that
-    some constraint uses are classified, once, and the chosen tractable
-    evaluator runs on that verdict.  Hard families, and domains other
-    than {0, 1}, go to bucket elimination, which refuses when its largest
-    table exceeds the budget; the oracle refuses beyond ``q**n`` states.
-    Every other route refuses an instance whose ``n * log2(q)`` exceeds
-    ``MAX_VALUE_BITS``, before any per-variable storage or power of ``q``.
+    some constraint uses, the keys of ``instance.scopes``, are classified,
+    once, and the chosen tractable evaluator runs on that verdict.  Hard
+    families, and domains other than {0, 1}, go to bucket elimination, which
+    refuses when its largest table exceeds the budget; the oracle refuses
+    beyond ``q**n`` states.  Every other route refuses an instance whose
+    ``n * log2(q)`` exceeds ``MAX_VALUE_BITS``, before any per-variable
+    storage or power of ``q``.
     """
     if force_oracle:
         return brute_force_z(instance, budget), "brute-force"
     q, n = instance.domain_size, instance.num_variables
     # log2(q) >= 1, so past the limit n alone decides (n * log2(q) might not
     # even fit a float)
-    bits = n if n > MAX_VALUE_BITS else ceil(n * log2(q))
-    if bits > MAX_VALUE_BITS:
-        raise Refusal(
-            f"{q}**{n} assignments: the value can need {bits} bits or more, "
-            f"beyond the limit of {MAX_VALUE_BITS}"
-        )
-    if instance.domain_size == 2:
-        verdict = classify_family(used_functions(instance.functions, instance.constraints))
+    check_value_bits(f"{q}**{n} assignments", n if n > MAX_VALUE_BITS else ceil(n * log2(q)))
+    if q == 2:
+        verdict = classify_family({name: instance.functions[name] for name in instance.scopes})
         if verdict.family is FamilyVerdict.PRODUCT_TYPE_FP:
             return eval_product_type(instance, verdict), "product-type"
         if verdict.family is FamilyVerdict.PURE_AFFINE_FP:

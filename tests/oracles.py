@@ -239,6 +239,19 @@ def partition_function_direct(instance) -> Fraction:
     return total
 
 
+def scopes_direct(instance) -> dict:
+    """Each catalog function that some constraint applies, with its scopes.
+
+    Functions in catalog order, each function's scopes in constraint order.
+    """
+    grouping = {}
+    for name in instance.functions:
+        scopes = [c.scope for c in instance.constraints if c.function == name]
+        if scopes:
+            grouping[name] = scopes
+    return grouping
+
+
 def distinct_filtered_z(instance, diseq_position: int) -> Fraction:
     """Enumerate assignments, filtering on distinctness instead of weighting."""
     q, n = instance.domain_size, instance.num_variables

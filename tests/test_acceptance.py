@@ -31,7 +31,7 @@ from wcsp.library import (
     full_disequality,
     unary_weight,
 )
-from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z, used_functions
+from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z
 from wcsp.models import (
     HomTractability,
     TargetMatrix,
@@ -61,7 +61,7 @@ F = Fraction
 
 def _verdict(instance):
     """The classification of the used functions, as evaluate() builds it."""
-    return classify_family(used_functions(instance.functions, instance.constraints))
+    return classify_family({name: instance.functions[name] for name in instance.scopes})
 
 
 def _report(index, label, ok):

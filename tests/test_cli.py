@@ -25,6 +25,7 @@ from wcsp.model import (
     Constraint,
     Instance,
     WeightFunction,
+    format_rational,
     instance_to_json,
     parse_instance,
 )
@@ -824,6 +825,29 @@ def test_model_wenum(tmp_path, capsys):
         )
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_model_wenum_of_one_long_row_needs_no_power_per_length(tmp_path):
+    # lambda**w for every w up to the length of a 200000-bit row ended in a
+    # MemoryError; the row's two codewords need only lambda**0 and
+    # lambda**200000, so a child process under a 1 GiB address-space cap
+    # prints the exact value
+    generator = write(tmp_path, "row.txt", "1" * 200000 + "\n")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import wcsp.cli\n"
+        "sys.exit(wcsp.cli.main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, "model", "wenum", "--lambda", "2", "--generator", generator],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        timeout=60,
+    )
+    assert result.returncode == 0 and not result.stderr
+    assert json.loads(result.stdout)["value"] == format_rational(Fraction(1 + 2**200000))
 
 
 def test_model_cut_check(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 No linter is required to work on the package, so these AST checks stand in
 for the unused-import rule (F401), the placeholder-free f-string rule (F541)
-and the unused-local rule (F841), which also guards the test files.
+and the unused-local rule (F841), which also guards the test files, and find
+module-level private names that no package module reads (dead code).
 ``__init__.py`` re-exports by design and is skipped by the import check; an
 import line marked ``# noqa: F401`` is a deliberate re-export.
 """
@@ -171,3 +172,96 @@ def test_the_check_finds_unused_locals():
 )
 def test_module_reads_every_local(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    ]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names that no module reads, as ``module.name``.
+
+    ``sources`` maps module names to their text.  A private name starts with
+    ``_`` and is not a dunder.  Its own module reads it outside the statement
+    that defines it; another module reads it by importing it from that module
+    or as an attribute of anything.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = set()
+    attributes = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rsplit(".", 1)[-1]
+                imported.update((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    hits = []
+    for module, tree in trees.items():
+        defined = []
+        read = set()
+        for statement in tree.body:
+            names = _defined_names(statement)
+            defined += names
+            read |= {
+                node.id
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+            } - set(names)
+        hits += [
+            f"{module}.{name}"
+            for name in defined
+            if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__"))
+            and name not in read
+            and (module, name) not in imported
+            and name not in attributes
+        ]
+    return hits
+
+
+def test_the_check_finds_dead_private_names():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_DEAD: int = 2\n"
+            "__version__ = '1'\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) + _USED\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "class _Orphan:\n"
+            "    def _method(self):\n"
+            "        pass\n"
+            "def public():\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from .a import _imported\n"
+            "import a\n"
+            "a._by_attribute()\n"
+            "_imported()\n"
+        ),
+    }
+    assert dead_private_names(sources) == ["a._DEAD", "a._recursive", "a._Orphan"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []

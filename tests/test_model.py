@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import decimal_digits, partition_function_direct
+from oracles import decimal_digits, partition_function_direct, scopes_direct
 
 from wcsp.errors import InputError, Refusal
 from wcsp.generate import PROFILES, random_instance
@@ -125,6 +125,26 @@ def test_instance_validation():
         Instance(-1, 2, {}, ())
     with pytest.raises(InputError):
         Instance(2, 3, {"neq": neq}, ())  # domain mismatch with catalog
+
+
+def test_scopes_group_the_used_functions_in_catalog_order():
+    neq, xor3, delta0 = (resolve_builtin(name) for name in ("neq", "xor3", "delta0"))
+    inst = _instance(
+        2,
+        4,
+        {"xor3": xor3, "unused": delta0, "neq": neq, "d": delta0},
+        [("neq", (0, 1)), ("d", (2,)), ("xor3", (1, 2, 3)), ("neq", (3, 3))],
+    )
+    assert inst.scopes == {"xor3": [(1, 2, 3)], "neq": [(0, 1), (3, 3)], "d": [(2,)]}
+    assert list(inst.scopes) == ["xor3", "neq", "d"]
+    assert _instance(2, 3, {"neq": neq}, []).scopes == {}
+
+
+@given(st.sampled_from(PROFILES), st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 12))
+def test_scopes_match_the_grouping_oracle(profile, seed, n, m):
+    inst = random_instance(profile, seed, n, m)
+    assert inst.scopes == scopes_direct(inst)
+    assert list(inst.scopes) == list(scopes_direct(inst))
 
 
 def test_repeated_variables_in_scope_are_legal():

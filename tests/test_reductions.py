@@ -414,6 +414,25 @@ def test_interpolation_refuses_too_many_occurrences_before_evaluating():
         interpolation_polynomial(unaries(m), "u", F(3), never)
 
 
+def test_interpolation_refuses_a_point_too_large_before_evaluating():
+    # the probe weights and Vandermonde entries reach point**(m * m): at m = 64
+    # a 31-digit point took minutes, and the time grew with the point
+    m = MAX_INTERPOLATION_OCCURRENCES
+    unaries = _instance(2, m, {"u": unary_weight(F(2))}, [("u", (v,)) for v in range(m)])
+    point = F(10**1000 + 1)
+    bits = m * m * (point.numerator.bit_length() + 1)
+
+    def never(instance):
+        raise AssertionError("the evaluator ran before the refusal")
+
+    with pytest.raises(Refusal) as info:
+        interpolation_polynomial(unaries, "u", point, never)
+    assert str(info.value) == (
+        f"interpolating 'u' over {m} occurrences at a {point.numerator.bit_length() + 1}-bit "
+        f"point: the value can need {bits} bits or more, beyond the limit of {MAX_VALUE_BITS}"
+    )
+
+
 @given(
     st.sampled_from([F(0), F(1, 2), F(3), F(7)]),
     st.sampled_from([F(2), F(1, 2)]),
@@ -738,6 +757,26 @@ def test_mobius_pinning_detection_refusals():
     assert mobius_pinning_reduce(double, brute_force_z, constraint_index=0) == (
         distinct_filtered_z(double, 0)
     )
+
+
+def test_mobius_family_keeps_the_disequality_only_while_another_constraint_uses_it():
+    neq = full_disequality(2)
+    catalog = {"unused": binary_equality(), "neq": neq, "eq": binary_equality()}
+    catalogs = []
+
+    def spy(sub):
+        catalogs.append(list(sub.functions))
+        return brute_force_z(sub)
+
+    single = _instance(2, 3, catalog, [("eq", (1, 2)), ("neq", (0, 1))])
+    assert mobius_pinning_reduce(single, spy) == distinct_filtered_z(single, 1)
+    assert catalogs and all(names == ["eq"] for names in catalogs)
+    catalogs.clear()
+    double = _instance(2, 3, catalog, [("neq", (0, 1)), ("eq", (1, 2)), ("neq", (1, 2))])
+    assert mobius_pinning_reduce(double, spy, constraint_index=0) == (
+        distinct_filtered_z(double, 0)
+    )
+    assert catalogs and all(names == ["neq", "eq"] for names in catalogs)
 
 
 def test_mobius_pinning_index_validation():

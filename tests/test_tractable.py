@@ -27,7 +27,6 @@ from wcsp.model import (
     Instance,
     WeightFunction,
     brute_force_z,
-    used_functions,
 )
 from wcsp.models import Graph, hom_instance, ising_matrix
 from wcsp.tractable import (
@@ -50,7 +49,7 @@ def _instance(q, n, functions, constraints):
 
 def _verdict(instance):
     """The classification of the used functions, as evaluate() builds it."""
-    return classify_family(used_functions(instance.functions, instance.constraints))
+    return classify_family({name: instance.functions[name] for name in instance.scopes})
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +460,50 @@ def test_evaluate_bounds_the_value_bits_at_the_limit(q):
     # the enumeration oracle keeps its own budget and message
     with pytest.raises(Refusal, match="^enumeration of"):
         evaluate(beyond, force_oracle=True)
+
+
+class _Unwalkable(tuple):
+    """A constraint tuple that refuses to be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the constraints were walked after validation")
+
+
+_ROUTED = {
+    "product-type": lambda: product_type_chain(12),
+    "pure-affine": lambda: parity_spread(12),
+    "elimination": lambda: _instance(
+        2,
+        12,
+        {"ising": WeightFunction(2, 2, (F(2), F(1), F(1), F(2)))},
+        [("ising", (v, (v + 1) % 12)) for v in range(12)],
+    ),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTED))
+def test_evaluate_reads_the_grouping_not_the_constraints(route):
+    instance = _ROUTED[route]()
+    expected = brute_force_z(instance)
+    object.__setattr__(instance, "constraints", _Unwalkable(instance.constraints))
+    assert evaluate(instance) == (expected, route)
+
+
+@given(
+    st.sampled_from(["product-type", "pure-affine", "mixed"]),
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.integers(0, 10),
+    st.randoms(use_true_random=False),
+)
+def test_constraint_order_changes_neither_value_nor_route(profile, seed, n, m, rng):
+    instance = random_instance(profile, seed, n, m)
+    constraints = list(instance.constraints)
+    rng.shuffle(constraints)
+    shuffled = Instance(n, 2, instance.functions, tuple(constraints))
+    value, route = evaluate(instance)
+    assert evaluate(shuffled) == (value, route)
+    assert value == brute_force_z(instance)
 
 
 def test_evaluate_trusts_its_own_pure_affine_verdict(monkeypatch):
