@@ -11,6 +11,7 @@ the enumeration oracle may visit (default 2**30, visited in constant memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -610,8 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`: built on its first call, not at import, and reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handler = getattr(args, "handler", None)
     if handler is None:

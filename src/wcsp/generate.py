@@ -24,6 +24,10 @@ from .tractable import DEFAULT_TABLE_BUDGET
 
 PROFILES = ("product-type", "pure-affine", "mixed", "graph-hom")
 
+#: Most constraints (or graph edges) one random instance may ask for; each is
+#: drawn and held in memory.
+MAX_CONSTRAINTS = 2**20
+
 _POSITIVE_POOL = (
     Fraction(1),
     Fraction(2),
@@ -133,13 +137,20 @@ def random_instance(
     num_variables: int = 6,
     num_constraints: int = 8,
 ) -> Instance:
-    """A reproducible random instance of the requested profile."""
+    """A reproducible random instance of the requested profile.
+
+    Refuses, before any draw, more than ``MAX_CONSTRAINTS`` constraints.
+    """
     if profile not in PROFILES:
         raise InputError(f"unknown profile {profile!r}; choose from {PROFILES}")
     if num_variables < 1:
         raise InputError(f"need at least one variable, got {num_variables}")
     if num_constraints < 0:
         raise InputError(f"constraint count must be non-negative, got {num_constraints}")
+    if num_constraints > MAX_CONSTRAINTS:
+        raise Refusal(
+            f"{num_constraints} constraints requested, beyond the limit of {MAX_CONSTRAINTS}"
+        )
     rng = random.Random(seed)
 
     if profile == "graph-hom":

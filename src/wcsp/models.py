@@ -22,6 +22,7 @@ from .model import (
     Constraint,
     Instance,
     WeightFunction,
+    check_value_bits,
     decode_json,
     load_file,
     parse_rational,
@@ -328,11 +329,18 @@ def weight_enumerator(
     """Sum of ``weight**hamming_weight`` over all codewords of the row span.
 
     Enumerates the span in Gray-code order, one row XOR per step, and counts
-    the codewords of each Hamming weight.
+    the codewords of each Hamming weight.  Refuses first when the words
+    exceed the budget, or when the value, a sum of ``2**dimension`` powers
+    of ``weight`` up to its ``length``-th, can exceed ``MAX_VALUE_BITS``.
     """
     lam = Fraction(weight)
     dimension = generator.dimension
     _check_word_count(dimension, budget)
+    check_value_bits(
+        "weight enumerator",
+        generator.length * (lam.numerator.bit_length() + lam.denominator.bit_length())
+        + dimension,
+    )
     counts = [1] + [0] * generator.length  # the zero word, then the others
     word = 0
     for step in range(1, 1 << dimension):

@@ -10,11 +10,13 @@ the width of the constraint graph rather than by the number of variables.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat
 from math import ceil, lcm, log2, prod
-from operator import itemgetter
+from operator import itemgetter, xor
 
 # is_pure_affine and affine_system_of are re-exported: perfbench/tracing.py
 # wraps them by name.
@@ -34,48 +36,72 @@ DEFAULT_TABLE_BUDGET = 2**24
 class ParityUnionFind:
     """Union-find over variables carrying a parity offset toward the root.
 
-    Uniting two variables with parity 1 declares them complementary.
-    :meth:`union` returns ``False`` when a tie contradicts the earlier ones (a
-    parity cycle of odd weight), and ``classes`` counts the current classes.
+    Tying two variables with parity 1 declares them complementary.
+    :meth:`tie` ties columns of pairs at once and returns ``False`` at the
+    first tie that contradicts the earlier ones (a parity cycle of odd
+    weight); :meth:`find_all` gives the roots and parities of a column.
+    :meth:`union` and :meth:`find` are their one-element cases, and
+    ``classes`` counts the current classes.
     """
 
     def __init__(self, size: int) -> None:
         self.parent = list(range(size))
         self.rank = [0] * size
-        self.offset = [0] * size  # parity relative to the parent link
+        self.offset = [0] * size  # parity relative to the parent link; 0 at a root
         self.classes = size
 
+    def _walk(self, vs: Iterable[int]) -> Iterator[int]:
+        """Yield the root and then the parity of each of ``vs``, halving its path.
+
+        Lazy, so each walk sees every tie made before it is resumed.
+        """
+        parent, offset = self.parent, self.offset
+        for v in vs:
+            parity = 0
+            while (up := parent[v]) != v:
+                top = parent[up]
+                offset[v] ^= offset[up]  # v skips its parent: link it to top
+                parent[v] = top
+                parity ^= offset[v]
+                v = top
+            yield v
+            yield parity
+
+    def find_all(self, vs: Iterable[int]) -> tuple[list[int], list[int]]:
+        """The roots of ``vs`` and their parities relative to those roots."""
+        found = list(self._walk(vs))
+        return found[::2], found[1::2]
+
+    def tie(self, us: Iterable[int], vs: Iterable[int], parity: int) -> bool:
+        """Tie each ``u`` to its ``v`` with the given parity, in order.
+
+        Returns ``False`` at the first tie that contradicts the earlier ones,
+        leaving the later ties unmade.
+        """
+        parent, offset, rank = self.parent, self.offset, self.rank
+        walked = self._walk(chain.from_iterable(zip(us, vs)))
+        for root_u, parity_u, root_v, parity_v in zip(walked, walked, walked, walked):
+            if root_u == root_v:
+                if parity_u ^ parity_v != parity:
+                    return False
+                continue
+            if rank[root_u] < rank[root_v]:
+                root_u, root_v = root_v, root_u
+            parent[root_v] = root_u
+            offset[root_v] = parity_u ^ parity_v ^ parity
+            if rank[root_u] == rank[root_v]:
+                rank[root_u] += 1
+            self.classes -= 1
+        return True
+
     def find(self, v: int) -> tuple[int, int]:
-        """Return (root, parity of v relative to the root), compressing paths."""
-        path = []
-        while self.parent[v] != v:
-            path.append(v)
-            v = self.parent[v]
-        root = v
-        parity = 0
-        for node in reversed(path):
-            parity ^= self.offset[node]
-            self.parent[node] = root
-            self.offset[node] = parity
-        if path:
-            return root, self.offset[path[0]]
-        return root, 0
+        """Return (root, parity of v relative to the root)."""
+        (root,), (parity,) = self.find_all((v,))
+        return root, parity
 
     def union(self, u: int, v: int, parity: int) -> bool:
         """Tie ``u`` to ``v`` with the given parity; ``False`` on a contradiction."""
-        root_u, parity_u = self.find(u)
-        root_v, parity_v = self.find(v)
-        if root_u == root_v:
-            return parity_u ^ parity_v == parity
-        if self.rank[root_u] < self.rank[root_v]:
-            root_u, root_v = root_v, root_u
-            parity_u, parity_v = parity_v, parity_u
-        self.parent[root_v] = root_u
-        self.offset[root_v] = parity_u ^ parity_v ^ parity
-        if self.rank[root_u] == self.rank[root_v]:
-            self.rank[root_u] += 1
-        self.classes -= 1
-        return True
+        return self.tie((u,), (v,), parity)
 
 
 def _tree_product(values: list[int]) -> int:
@@ -134,46 +160,67 @@ def eval_product_type(instance: Instance, verdict: Verdict) -> Fraction:
 
     Runs on the product-type witnesses in ``verdict``, which classifies the
     used functions; a function without one is refused, pointing at :func:`evaluate`.
+    Each function's scopes are read a column at a time: a class ties its
+    representative column to each member column, and its weights and pins
+    are listed for the whole column.  Equal weights that end on one side of
+    one class are counted and raised to that count once.
     """
     witnesses = _witnesses(instance, verdict, "product type", "witness")
     union = ParityUnionFind(instance.num_variables)
-    scales: list[Fraction] = []
-    # Factors for one side of one variable, 2 * variable + side, with factor
-    # 0 for a pin; each goes to the variable's class once the ties are final.
-    # Two flat lists, not a tuple per factor: allocating containers triggers
+    # Z's numerator and denominator factors: each function's scale, raised to
+    # its constraint count, and each weighted class's two-sided sum
+    numerators: list[int] = []
+    denominators: list[int] = []
+    # One entry per pin or weighted class side of one constraint, in three
+    # flat lists: the variable, the side and the weight as (numerator,
+    # denominator), cheap to hash.  A pin weighs its other side 0.  Each
+    # entry goes to its variable's class once the ties are final.  A column
+    # repeats one weight tuple, as allocating a container per entry triggers
     # the cyclic garbage collector, whose full passes scan the whole instance.
-    sided: list[int] = []
-    factors: list[Fraction] = []
+    variables: list[int] = []
+    sides: list[int] = []
+    weights: list[tuple[int, int]] = []
     for name, scopes in instance.scopes.items():
         witness = witnesses[name]
-        if witness.scale == 0:
+        if not witness.scale:
             return _ZERO  # a zero function annihilates every assignment
-        scales.append(witness.scale ** len(scopes))
-        for scope in scopes:
-            for col, val in witness.constant_columns:
-                sided.append(2 * scope[col] + 1 - val)
-                factors.append(_ZERO)
-            for cls in witness.classes:
-                rep_var = scope[cls.members[0][0]]
-                for side in (0, 1):
-                    if cls.weights[side] != 1:
-                        sided.append(2 * rep_var + side)
-                        factors.append(cls.weights[side])
-                for col, complemented in cls.members[1:]:
-                    if not union.union(rep_var, scope[col], 1 if complemented else 0):
-                        # a class with contradictory parities: both of its
-                        # sums, hence Z, are 0
-                        return _ZERO
+        numerators.append(witness.scale.numerator ** len(scopes))
+        denominators.append(witness.scale.denominator ** len(scopes))
+        columns = list(zip(*scopes))
+        weighted = [(col, 1 - val, (0, 1)) for col, val in witness.constant_columns]
+        for cls in witness.classes:
+            rep = cls.members[0][0]
+            weighted += [
+                (rep, side, (w.numerator, w.denominator)) for side, w in enumerate(cls.weights)
+            ]
+            for col, complemented in cls.members[1:]:
+                if not union.tie(columns[rep], columns[col], int(complemented)):
+                    # a class with contradictory parities: both of its sums,
+                    # hence Z, are 0
+                    return _ZERO
+        for col, side, weight in weighted:
+            if weight != (1, 1):
+                variables += columns[col]
+                sides += repeat(side, len(scopes))
+                weights += repeat(weight, len(scopes))
 
-    sides: dict[int, tuple[list[Fraction], list[Fraction]]] = {}  # root -> factors
-    for key, factor in zip(sided, factors):
-        root, parity = union.find(key >> 1)
-        if root not in sides:
-            sides[root] = ([], [])
-        sides[root][(key & 1) ^ parity].append(factor)
-    free = union.classes - len(sides)  # unweighted classes each sum to 1 + 1
-    totals = [exact_product(low) + exact_product(high) for low, high in sides.values()]
-    return exact_product([*scales, *totals, 1 << free])
+    roots, parities = union.find_all(variables)
+    counts = Counter(zip(roots, map(xor, sides, parities), weights))
+    # root -> numerators and denominators of the factors on its side 0, then
+    # on its side 1; a class's sum is reduced only as part of Z
+    classes: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+    for (root, side, (numerator, denominator)), count in counts.items():
+        if root not in classes:
+            classes[root] = ([], [], [], [])
+        factors = classes[root]
+        factors[2 * side].append(numerator**count)
+        factors[2 * side + 1].append(denominator**count)
+    for factors in classes.values():
+        low, low_den, high, high_den = map(_tree_product, factors)
+        numerators.append(low * high_den + high * low_den)
+        denominators.append(low_den * high_den)
+    free = union.classes - len(classes)  # unweighted classes each sum to 1 + 1
+    return Fraction(_tree_product(numerators) << free, _tree_product(denominators))
 
 
 def eval_pure_affine(instance: Instance, verdict: Verdict) -> Fraction:

@@ -282,6 +282,35 @@ def connected_direct(graph) -> bool:
         reached = grown
 
 
+def parity_components_direct(num_variables: int, ties) -> tuple[list, list] | None:
+    """Components and colours of parity ties ``(u, v, parity)``, by breadth-first search.
+
+    ``component[v]`` is the least variable of v's component and ``colour[v]``
+    is v's parity relative to it; None when some tie contradicts the others
+    (a cycle whose parities sum to 1).
+    """
+    adjacent = [[] for _ in range(num_variables)]
+    for u, v, parity in ties:
+        adjacent[u].append((v, parity))
+        adjacent[v].append((u, parity))
+    component = [None] * num_variables
+    colour = [0] * num_variables
+    for start in range(num_variables):
+        if component[start] is not None:
+            continue
+        component[start] = start
+        queue = [start]
+        for u in queue:
+            for v, parity in adjacent[u]:
+                if component[v] is None:
+                    component[v] = start
+                    colour[v] = colour[u] ^ parity
+                    queue.append(v)
+                elif colour[v] != colour[u] ^ parity:
+                    return None
+    return component, colour
+
+
 def ising_direct(graph, lam: Fraction) -> Fraction:
     """Direct edge-product enumeration of the two-spin value."""
     total = _ZERO

@@ -1277,6 +1277,113 @@ def test_reduce_without_subcommand_prints_usage(capsys):
     assert "usage" in captured.err
 
 
+def _child(script, *argv):
+    """Run ``script`` in a fresh interpreter that imports this checkout's wcsp."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        timeout=60,
+    )
+
+
+def test_main_reuses_its_parser_after_errors_and_help(tmp_path):
+    # the clock is fixed so that the report's "seconds" field repeats
+    path = write(tmp_path, "xor3.json", XOR3_INSTANCE)
+    script = (
+        "import contextlib, io, sys, time\n"
+        "time.perf_counter = lambda: 0.0\n"
+        "import wcsp.cli\n"
+        "if sys.argv[1] == 'warm':\n"
+        "    for argv, expected in ((['eval', '--bogus'], 2), (['--help'], 0)):\n"
+        "        sink = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "            try:\n"
+        "                wcsp.cli.main(argv)\n"
+        "            except SystemExit as exc:\n"
+        "                assert exc.code == expected, (argv, exc.code)\n"
+        "            else:\n"
+        "                raise AssertionError(argv)\n"
+        "sys.exit(wcsp.cli.main(sys.argv[2:]))\n"
+    )
+    warm = _child(script, "warm", "eval", path)
+    fresh = _child(script, "fresh", "eval", path)
+    assert warm.returncode == fresh.returncode == 0, warm.stderr
+    assert warm.stdout == fresh.stdout and warm.stderr == fresh.stderr == b""
+    assert json.loads(warm.stdout)["value"] == "4"
+
+
+def test_parser_is_built_by_the_first_call_and_only_once(tmp_path):
+    path = write(tmp_path, "xor3.json", XOR3_INSTANCE)
+    script = (
+        "import argparse, contextlib, io, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import wcsp.cli\n"
+        "assert not built, 'importing wcsp.cli built a parser'\n"
+        "calls = []\n"
+        "build = wcsp.cli.build_parser\n"
+        "wcsp.cli.build_parser = lambda: calls.append(1) or build()\n"
+        "for _ in range(100):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert wcsp.cli.main(['eval', sys.argv[1]]) == 0\n"
+        "print(len(calls))\n"
+    )
+    result = _child(script, path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"1\n"
+
+
+def test_gen_refuses_a_huge_constraint_count_before_drawing():
+    # the 10**8 constraints were drawn before any limit was checked, ending
+    # in a MemoryError; a child process under a 1 GiB address-space cap
+    # fails fast instead
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import wcsp.cli\n"
+        "sys.exit(wcsp.cli.main(sys.argv[1:]))\n"
+    )
+    start = time.perf_counter()
+    result = _child(
+        script, "gen", "--profile", "mixed", "--seed", "1",
+        "--variables", "10", "--constraints", "100000000",
+    )
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 3 and not result.stdout
+    assert result.stderr == (
+        b"wcsp: refused: 100000000 constraints requested, beyond the limit of 1048576\n"
+    )
+
+
+def test_model_wenum_refuses_a_value_beyond_the_bit_limit(tmp_path):
+    # lambda = 10**4000 on one 1000-bit row ran past 30 s computing
+    # lambda**1000; a child process under a 1 GiB address-space cap refuses
+    # before enumerating
+    generator = write(tmp_path, "row.txt", "1" * 1000 + "\n")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import wcsp.cli\n"
+        "sys.exit(wcsp.cli.main(sys.argv[1:]))\n"
+    )
+    start = time.perf_counter()
+    result = _child(
+        script, "model", "wenum", "--lambda", str(10**4000), "--generator", generator
+    )
+    assert time.perf_counter() - start < 5
+    bits = 1000 * ((10**4000).bit_length() + 1) + 1
+    assert result.returncode == 3 and not result.stdout
+    assert result.stderr == (
+        f"wcsp: refused: weight enumerator: the value can need {bits} bits or more, "
+        f"beyond the limit of {MAX_VALUE_BITS}\n"
+    ).encode()
+
+
 # ---------------------------------------------------------------------------
 # hostile input
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import partition_function_direct
+from oracles import parity_components_direct, partition_function_direct
 
 import wcsp.tractable as tractable
 from wcsp.errors import Refusal
@@ -83,6 +83,50 @@ def test_parity_union_find_long_chain():
     root_last, p_last = uf.find(size - 1)
     assert root_first == root_last
     assert (p_first ^ p_last) == (size - 1) % 2
+
+
+@st.composite
+def _tie_batches(draw):
+    """A variable count and batches of (pairs, parity), pairs possibly repeated."""
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    batch = st.tuples(st.lists(pair, max_size=14), st.integers(0, 1))
+    return n, draw(st.lists(batch, max_size=4))
+
+
+@given(_tie_batches())
+@example((3, [([(0, 0)], 1)]))  # a self-tie with parity 1 contradicts at once
+@example((4, [([(0, 1), (1, 2), (0, 1)], 1), ([(0, 2), (2, 3), (1, 3), (3, 3)], 0)]))
+@example((3, [([(0, 1), (1, 2)], 1), ([(2, 0)], 1), ([(1, 2)], 0)]))  # odd cycle
+def test_parity_union_find_tie_matches_breadth_first_components(case):
+    n, batches = case
+    flat = [(u, v, parity) for pairs, parity in batches for u, v in pairs]
+    # the oracle's first contradicting tie, or len(flat) when there is none
+    made = next(
+        (i for i in range(len(flat)) if parity_components_direct(n, flat[: i + 1]) is None),
+        len(flat),
+    )
+    uf = ParityUnionFind(n)
+    results = []
+    for pairs, parity in batches:
+        results.append(uf.tie([u for u, _ in pairs], [v for _, v in pairs], parity))
+        if not results[-1]:
+            break
+    # every batch before the one holding that tie succeeds and that one fails
+    ends = [sum(len(pairs) for pairs, _ in batches[: i + 1]) for i in range(len(batches))]
+    expected = [True] * sum(end <= made for end in ends)
+    if made < len(flat):
+        expected.append(False)
+    assert results == expected
+    # and no tie after it was made
+    component, colour = parity_components_direct(n, flat[:made])
+    roots, parities = uf.find_all(range(n))
+    assert uf.classes == len(set(component))
+    for a in range(n):
+        for b in range(n):
+            assert (roots[a] == roots[b]) == (component[a] == component[b])
+            if roots[a] == roots[b]:
+                assert parities[a] ^ parities[b] == colour[a] ^ colour[b]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +272,40 @@ def _product_instances(draw):
 )
 def test_product_type_matches_enumeration_on_mixed_structure(instance):
     assert eval_product_type(instance, _verdict(instance)) == brute_force_z(instance)
+
+
+@given(_product_instances(), st.data())
+def test_product_type_ignores_variable_labels_and_constraint_order(instance, data):
+    # the route reads each function's scopes column by column, so relabelling
+    # changes every column and shuffling changes their order
+    label = data.draw(st.permutations(range(instance.num_variables)))
+    constraints = data.draw(st.permutations(instance.constraints))
+    moved = Instance(
+        instance.num_variables,
+        2,
+        instance.functions,
+        tuple(Constraint(c.function, tuple(label[v] for v in c.scope)) for c in constraints),
+    )
+    assert eval_product_type(moved, _verdict(moved)) == brute_force_z(instance)
+
+
+def test_product_type_counts_equal_weights_on_one_class_side():
+    # "eq2" on a path, "lean" and "eq3" tie variables 0..9 into one class
+    # and each weighs its side 1 by 2: one function over nine scopes and three
+    # functions in all; variable 10, tied to the class's complement, weighs
+    # its side 0 by 2 through "lean"; variable 11 is free
+    functions = {
+        "eq2": WeightFunction(2, 2, (F(1), F(0), F(0), F(2))),
+        "lean": unary_weight(F(2)),
+        "eq3": WeightFunction(3, 2, (F(1),) + (F(0),) * 6 + (F(2),)),
+        "neq": binary_disequality(),
+    }
+    constraints = [("eq2", (v, v + 1)) for v in range(9)]
+    constraints += [("lean", (v,)) for v in (0, 3, 7, 10)]
+    constraints += [("eq3", (2, 5, 9)), ("neq", (4, 10))]
+    inst = _instance(2, 12, functions, constraints)
+    expected = (2 + 2 ** (9 + 3 + 1)) * 2
+    assert eval_product_type(inst, _verdict(inst)) == expected == brute_force_z(inst)
 
 
 def _empty(n):
