@@ -169,38 +169,8 @@ def eval_graph_hom(
 
 
 # ---------------------------------------------------------------------------
-# exact rank and the component criterion
+# rank at most one and the component criterion
 # ---------------------------------------------------------------------------
-
-def row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by exact Gauss-Jordan elimination.
-
-    Returns the reduced rows and the pivot columns: row ``i`` of the result
-    has a 1 in column ``pivots[i]`` and every other row a 0 there.
-    """
-    work = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(len(work[0]) if work else 0):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        lead = work[pivot][col]
-        pivot_row = [a / lead for a in work[pivot]]
-        work[pivot] = work[rank]
-        work[rank] = pivot_row
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                ratio = work[r][col]
-                work[r] = [a - ratio * b for a, b in zip(work[r], pivot_row)]
-        pivots.append(col)
-    return work, pivots
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix."""
-    return len(row_reduce(rows)[1])
-
 
 def _rank_at_most_one(rows: Sequence[Sequence[Fraction]]) -> bool:
     """Whether a rational matrix has rank at most 1, in one pass over its entries.

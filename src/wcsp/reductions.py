@@ -35,7 +35,6 @@ from .model import (
     table_indices,
     tuple_to_index,
 )
-from .models import row_reduce
 
 Evaluator = Callable[[Instance], Fraction]
 
@@ -245,13 +244,25 @@ def pinning_reduce_boolean(instance: Instance, evaluator: Evaluator) -> Fraction
 # ---------------------------------------------------------------------------
 
 def _solve_vandermonde(points: list[Fraction], values: list[Fraction]) -> list[Fraction]:
-    """Exact coefficients of the polynomial through (points[i], values[i])."""
+    """Exact coefficients of the polynomial through (points[i], values[i]).
+
+    Newton's divided differences, then Horner steps that multiply the Newton
+    form out to monomial coefficients: O(m**2) field operations for m + 1
+    points.
+    """
     size = len(points)
-    rows = [[p**d for d in range(size)] + [values[i]] for i, p in enumerate(points)]
-    reduced, pivots = row_reduce(rows)
-    if pivots != list(range(size)):
+    if len(set(points)) != size:
         raise InvariantViolation("interpolation points are not distinct")
-    return [row[size] for row in reduced]
+    newton = list(values)
+    for gap in range(1, size):
+        for i in reversed(range(gap, size)):
+            newton[i] = (newton[i] - newton[i - 1]) / (points[i] - points[i - gap])
+    coefficients = [_ZERO] * size
+    for k in reversed(range(size)):  # p = p * (x - points[k]) + newton[k]
+        for i in reversed(range(1, size - k)):
+            coefficients[i] = coefficients[i - 1] - points[k] * coefficients[i]
+        coefficients[0] = newton[k] - points[k] * coefficients[0]
+    return coefficients
 
 
 def interpolation_polynomial(
@@ -265,7 +276,8 @@ def interpolation_polynomial(
     With ``m`` occurrences of the normalized unary ``(1, c)``, the value is a
     degree-<=m polynomial in the weight; evaluating at powers of ``point``
     (realized by stacking copies of the ``(1, point)`` unary) determines the
-    coefficients through an exact Vandermonde solve.
+    coefficients through an exact Vandermonde solve, by Newton's divided
+    differences in O(m**2) rational operations.
     """
     if unary_name not in instance.functions:
         raise InputError(f"unknown function {unary_name!r}")
@@ -284,7 +296,7 @@ def interpolation_polynomial(
             f"{unary_name!r} occurs {occurrences} times; interpolation is "
             f"enforced up to {MAX_INTERPOLATION_OCCURRENCES} occurrences"
         )
-    # the probe weights and the Vandermonde entries reach point**(m * m)
+    # the evaluated values and the divided differences reach point**(m * m)
     point_bits = ratio.numerator.bit_length() + ratio.denominator.bit_length()
     check_value_bits(
         f"interpolating {unary_name!r} over {occurrences} occurrences at a {point_bits}-bit point",
@@ -500,8 +512,9 @@ def extract_unary_iterated(fn: WeightFunction) -> tuple[UnaryExtraction, int]:
 MAX_PARTITION_DOMAIN = 6
 
 #: Interpolation is enforced up to this many occurrences m of the unary: it
-#: makes m + 1 evaluator calls on up to m*m probe constraints, then an exact
-#: (m+1) x (m+1) Vandermonde solve over rationals as large as point**(m*m).
+#: makes m + 1 evaluator calls on up to m*m probe constraints, then solves for
+#: the m + 1 coefficients in O(m**2) operations on rationals as large as
+#: point**(m*m).
 MAX_INTERPOLATION_OCCURRENCES = 64
 
 

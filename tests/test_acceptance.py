@@ -16,6 +16,7 @@ from oracles import (
     product_type_by_decomposition,
     pure_affine_direct,
     rank1_hom_value,
+    rank_direct,
 )
 from wcsp.classify import classify_family, is_product_type, is_pure_affine
 from wcsp.generate import (
@@ -37,7 +38,6 @@ from wcsp.models import (
     TargetMatrix,
     bulatov_grohe_classify,
     eval_graph_hom,
-    rational_rank,
     verify_cut_identity,
 )
 from wcsp.reductions import (
@@ -288,7 +288,7 @@ def test_08_two_by_two_target_classification_and_rank_one_values():
         if (verdict is HomTractability.TRACTABLE) != expected:
             wrong_verdicts += 1
             continue
-        if verdict is HomTractability.TRACTABLE and rational_rank(matrix.entries) == 1:
+        if verdict is HomTractability.TRACTABLE and rank_direct(matrix.entries) == 1:
             rank_one_cases += 1
             for graph in graphs:
                 if eval_graph_hom(graph, matrix) != rank1_hom_value(matrix, graph):

@@ -3,7 +3,9 @@
 No linter is required to work on the package, so these AST checks stand in
 for the unused-import rule (F401), the placeholder-free f-string rule (F541)
 and the unused-local rule (F841), which also guards the test files, and find
-module-level private names that no package module reads (dead code).
+module-level private names that no package module reads (dead code).  One
+more check holds ``wcsp.__all__`` to exactly the public names that
+``__init__.py`` imports.
 ``__init__.py`` re-exports by design and is skipped by the import check; an
 import line marked ``# noqa: F401`` is a deliberate re-export.
 """
@@ -265,3 +267,18 @@ def test_the_check_finds_dead_private_names():
 def test_package_reads_every_private_name():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def test_all_lists_exactly_the_public_imports():
+    import wcsp
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert len(wcsp.__all__) == len(set(wcsp.__all__))
+    assert sorted(wcsp.__all__) == sorted(name for name in imported if not name.startswith("_"))
+    assert [name for name in wcsp.__all__ if not hasattr(wcsp, name)] == []

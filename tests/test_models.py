@@ -13,6 +13,7 @@ from oracles import (
     connected_direct,
     ising_direct,
     rank1_hom_value,
+    rank_direct,
     weight_enum_direct,
 )
 
@@ -34,7 +35,6 @@ from wcsp.models import (
     parse_generator,
     parse_graph,
     parse_target_matrix,
-    rational_rank,
     slice_gram_matrix,
     verify_cut_identity,
     weight_enumerator,
@@ -176,23 +176,6 @@ def test_hom_value_is_relabeling_invariant(seed):
 # rank and the tractability classification
 
 
-def test_rational_rank():
-    assert rational_rank([]) == 0
-    assert rational_rank([[F(0), F(0)]]) == 0
-    assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rational_rank([[F(1), F(2)], [F(2), F(1)]]) == 2
-    assert (
-        rational_rank(
-            [
-                [F(1), F(0), F(1)],
-                [F(0), F(1), F(1)],
-                [F(1), F(1), F(2)],
-            ]
-        )
-        == 2
-    )
-
-
 def test_bulatov_grohe_hand_values():
     assert (
         bulatov_grohe_classify(TargetMatrix.from_rows([[1, 2], [2, 1]]))
@@ -312,12 +295,12 @@ def test_slice_gram_matrix_values():
     skew = WeightFunction(2, 2, (F(1), F(3), F(2), F(6)))
     gram = slice_gram_matrix(skew, 0)
     assert gram.entries == ((F(10), F(20)), (F(20), F(40)))
-    assert rational_rank(gram.entries) == 1
+    assert rank_direct(gram.entries) == 1
 
     crooked = WeightFunction(2, 2, (F(1), F(1), F(1), F(2)))
     gram = slice_gram_matrix(crooked, 0)
     assert gram.entries == ((F(2), F(3)), (F(3), F(5)))
-    assert rational_rank(gram.entries) == 2
+    assert rank_direct(gram.entries) == 2
     with pytest.raises(InputError):
         slice_gram_matrix(skew, 2)
     with pytest.raises(Refusal):
@@ -342,7 +325,7 @@ def test_gram_singular_iff_slices_proportional(arity, data):
         for i in range(len(low))
         for j in range(len(low))
     )
-    assert (rational_rank(gram.entries) <= 1) == proportional
+    assert (rank_direct(gram.entries) <= 1) == proportional
 
 
 # ---------------------------------------------------------------------------

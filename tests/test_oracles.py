@@ -19,6 +19,7 @@ from oracles import (
     product_type_by_decomposition,
     pure_affine_direct,
     rank1_hom_value,
+    rank_direct,
     weight_enum_direct,
 )
 
@@ -125,6 +126,23 @@ def test_bg_2x2_expected_spot_checks():
     assert bg_2x2_expected(F(1), F(1), F(1))  # rank one
     assert bg_2x2_expected(F(1), F(2), F(4))  # rank one, 1*4 = 2^2
     assert bg_2x2_expected(F(3), F(0), F(2))  # two separate loops
+
+
+def test_rank_direct_hand_values():
+    assert rank_direct([]) == 0
+    assert rank_direct([[F(0), F(0)]]) == 0
+    assert rank_direct([[F(1), F(2)], [F(2), F(4)]]) == 1
+    assert rank_direct([[F(1), F(2)], [F(2), F(1)]]) == 2
+    assert (
+        rank_direct(
+            [
+                [F(1), F(0), F(1)],
+                [F(0), F(1), F(1)],
+                [F(1), F(1), F(2)],
+            ]
+        )
+        == 2
+    )
 
 
 def test_rank1_closed_form_matches_enumeration():

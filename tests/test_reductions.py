@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,51 @@ def test_solve_vandermonde_known_polynomial():
     points = [F(1), F(2), F(4)]
     values = [F(7), F(22), F(82)]
     assert _solve_vandermonde(points, values) == [F(2), F(0), F(5)]
+
+
+_RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=20)
+_POLYNOMIALS = st.lists(_RATIONALS, min_size=1, max_size=13)  # degree <= 12
+
+
+@given(
+    _POLYNOMIALS,
+    st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8).filter(lambda r: r != 1),
+)
+def test_solve_vandermonde_recovers_a_polynomial_at_geometric_points(coefficients, ratio):
+    points = [ratio**j for j in range(len(coefficients))]
+    values = [sum(c * p**k for k, c in enumerate(coefficients)) for p in points]
+    assert _solve_vandermonde(points, values) == coefficients
+
+
+@given(_POLYNOMIALS, st.data())
+def test_solve_vandermonde_recovers_a_polynomial_at_distinct_points(coefficients, data):
+    size = len(coefficients)
+    points = data.draw(st.lists(_RATIONALS, min_size=size, max_size=size, unique=True))
+    values = [sum(c * p**k for k, c in enumerate(coefficients)) for p in points]
+    assert _solve_vandermonde(points, values) == coefficients
+
+    # one point sampled twice makes the system singular, whatever the values
+    source = data.draw(st.integers(0, size - 1))
+    position = data.draw(st.integers(0, size))
+    points.insert(position, points[source])
+    values.insert(position, data.draw(_RATIONALS))
+    with pytest.raises(InvariantViolation, match="interpolation points are not distinct"):
+        _solve_vandermonde(points, values)
+
+
+def test_interpolation_at_a_101_digit_point_is_quick():
+    # Z(I; w) = (1 + w)**32 at a 334-bit point: 32 * 32 * 334 bits is under
+    # the value limit, and the values reach point**(32 * 32)
+    m = 32
+    point = F(10**100 + 3)
+    unaries = _instance(2, m, {"u": unary_weight(F(2))}, [("u", (v,)) for v in range(m)])
+    start = time.perf_counter()
+    coefficients = interpolation_polynomial(
+        unaries, "u", point, lambda inst: (1 + point ** (len(inst.constraints) // m)) ** m
+    )
+    elapsed = time.perf_counter() - start
+    assert coefficients == [math.comb(m, k) for k in range(m + 1)]
+    assert elapsed < 10, f"took {elapsed:.1f} s"
 
 
 def test_interpolation_single_occurrence():
