@@ -169,6 +169,8 @@ class WeightFunction:
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _require_int(self.arity, "arity")
+        _require_int(self.domain_size, "domain_size")
         if self.domain_size < 2:
             raise InputError(f"domain size must be at least 2, got {self.domain_size}")
         if self.arity < 0:
@@ -263,6 +265,9 @@ class Constraint:
 class Instance:
     """Variables, a function catalog, and constraints; immutable once built.
 
+    Construction checks that both sizes are ``int``, and each constraint's
+    function, arity and variables (each an ``int`` in range), whether the
+    instance was loaded or built in code.
     ``scopes`` maps each used function, in catalog order, to its scopes in constraint order.
     """
 
@@ -273,10 +278,12 @@ class Instance:
     scopes: dict[str, list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = _require_int(self.num_variables, "num_variables")
+        _require_int(self.domain_size, "domain_size")
         if self.domain_size < 2:
             raise InputError(f"domain size must be at least 2, got {self.domain_size}")
-        if self.num_variables < 0:
-            raise InputError(f"negative variable count {self.num_variables}")
+        if n < 0:
+            raise InputError(f"negative variable count {n}")
         groups: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
         for name, fn in self.functions.items():
             if fn.domain_size != self.domain_size:
@@ -294,8 +301,12 @@ class Instance:
                     f"constraints[{pos}]: scope length {len(c.scope)} != arity {arity} "
                     f"of {c.function!r}"
                 )
-            for v in c.scope:
-                if not 0 <= v < self.num_variables:
+            for j, v in enumerate(c.scope):
+                if type(v) is not int:
+                    raise InputError(
+                        f"constraints[{pos}].scope[{j}]: expected an integer, got {v!r}"
+                    )
+                if not 0 <= v < n:
                     raise InputError(f"constraints[{pos}]: variable {v} out of range")
             scopes.append(c.scope)
         object.__setattr__(self, "scopes", {name: s for name, (_, s) in groups.items() if s})
@@ -392,7 +403,7 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def _require_int(obj: object, where: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
+    if type(obj) is not int:  # so a bool is refused too
         raise InputError(f"{where}: expected an integer, got {obj!r}")
     return obj
 
@@ -442,32 +453,14 @@ def _parse_functions(obj: object, domain_size: int, where: str) -> dict[str, Wei
     return catalog
 
 
-def _constraint_from_obj(
-    spec: object, here: str, catalog: dict[str, WeightFunction], q: int
-) -> Constraint:
-    """One constraint, checked field by field; resolves a built-in name into ``catalog``."""
-    from .library import resolve_builtin  # deferred: library depends on this module
-
+def _constraint_shape_fault(spec: object, here: str) -> str:
+    """The message for a constraint that is not an object of exactly 'f' and 'scope'."""
     if not isinstance(spec, dict):
-        raise InputError(f"{here}: expected an object with 'f' and 'scope'")
+        return f"{here}: expected an object with 'f' and 'scope'"
     unknown = set(spec) - {"f", "scope"}
     if unknown:
-        raise InputError(f"{here}: unknown keys {sorted(unknown)}")
-    if "f" not in spec or "scope" not in spec:
-        raise InputError(f"{here}: missing 'f' or 'scope'")
-    name = spec["f"]
-    if not isinstance(name, str):
-        raise InputError(f"{here}.f: expected a function name string")
-    if name not in catalog:
-        builtin = resolve_builtin(name, q)
-        if builtin is None:
-            raise InputError(f"{here}.f: unknown function {name!r}")
-        catalog[name] = builtin
-    scope_obj = spec["scope"]
-    if not isinstance(scope_obj, list):
-        raise InputError(f"{here}.scope: expected a list of variable indices")
-    scope = tuple(_require_int(v, f"{here}.scope[{i}]") for i, v in enumerate(scope_obj))
-    return Constraint(name, scope)
+        return f"{here}: unknown keys {sorted(unknown)}"
+    return f"{here}: missing 'f' or 'scope'"
 
 
 def instance_from_obj(obj: object) -> Instance:
@@ -475,7 +468,11 @@ def instance_from_obj(obj: object) -> Instance:
 
     Constraints may reference the built-in library (``delta0``, ``eq``,
     ``unary:<w>`` ...); missing catalog entries are resolved there and added.
+    Each constraint is checked here for its JSON shape only; ``Instance``
+    checks its function, arity and variables, as for an instance built in code.
     """
+    from .library import resolve_builtin  # deferred: library depends on this module
+
     if not isinstance(obj, dict):
         raise InputError("instance: expected a JSON object")
     unknown = set(obj) - {"q", "n", "functions", "constraints"}
@@ -494,19 +491,20 @@ def instance_from_obj(obj: object) -> Instance:
 
     constraints = []
     for pos, spec in enumerate(constraints_obj):
-        # The common well-formed shape is checked in a few cheap tests;
-        # anything else is checked field by field, naming what is wrong.
-        if type(spec) is dict and len(spec) == 2:
-            name, scope_obj = spec.get("f"), spec.get("scope")
-            if (
-                type(name) is str
-                and name in catalog
-                and type(scope_obj) is list
-                and all(type(v) is int for v in scope_obj)
-            ):
-                constraints.append(Constraint(name, tuple(scope_obj)))
-                continue
-        constraints.append(_constraint_from_obj(spec, f"constraints[{pos}]", catalog, q))
+        if not (isinstance(spec, dict) and len(spec) == 2 and "f" in spec and "scope" in spec):
+            raise InputError(_constraint_shape_fault(spec, f"constraints[{pos}]"))
+        name = spec["f"]
+        if not isinstance(name, str):
+            raise InputError(f"constraints[{pos}].f: expected a function name string")
+        if name not in catalog:
+            builtin = resolve_builtin(name, q)
+            if builtin is None:
+                raise InputError(f"constraints[{pos}].f: unknown function {name!r}")
+            catalog[name] = builtin
+        scope = spec["scope"]
+        if not isinstance(scope, list):
+            raise InputError(f"constraints[{pos}].scope: expected a list of variable indices")
+        constraints.append(Constraint(name, tuple(scope)))
     return Instance(n, q, catalog, tuple(constraints))
 
 

@@ -5,7 +5,8 @@ for the unused-import rule (F401), the placeholder-free f-string rule (F541)
 and the unused-local rule (F841), which also guards the test files, and find
 module-level private names that no package module reads (dead code).  One
 more check holds ``wcsp.__all__`` to exactly the public names that
-``__init__.py`` imports.
+``__init__.py`` imports, and one holds the imports inside function bodies to
+the loader's single deferred one.
 ``__init__.py`` re-exports by design and is skipped by the import check; an
 import line marked ``# noqa: F401`` is a deliberate re-export.
 """
@@ -282,3 +283,57 @@ def test_all_lists_exactly_the_public_imports():
     assert len(wcsp.__all__) == len(set(wcsp.__all__))
     assert sorted(wcsp.__all__) == sorted(name for name in imported if not name.startswith("_"))
     assert [name for name in wcsp.__all__ if not hasattr(wcsp, name)] == []
+
+
+def function_imports(source: str) -> list[str]:
+    """The import statements inside function bodies, as ``function: statement``.
+
+    A statement is listed under the innermost function that holds it.
+    """
+    hits = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and function:
+                hits.append(f"{function}: {ast.unparse(child)}")
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return hits
+
+
+def test_the_check_finds_imports_in_function_bodies():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .a import b\n"
+        "    def g():\n"
+        "        import json as j\n"
+        "    if b:\n"
+        "        import re\n"
+        "class C:\n"
+        "    import sys\n"
+        "    def m(self):\n"
+        "        from . import d, e\n"
+    )
+    assert function_imports(source) == [
+        "f: from .a import b",
+        "g: import json as j",
+        "f: import re",
+        "m: from . import d, e",
+    ]
+
+
+def test_the_only_import_in_a_function_is_the_loaders_builtin_lookup():
+    # an import in a function runs on every call, and one placed there to
+    # break a cycle marks that cycle; the loader's runs once per load
+    hits = {
+        path.name: function_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in hits.items() if found} == {
+        "model.py": ["instance_from_obj: from .library import resolve_builtin"]
+    }

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import decimal_digits, partition_function_direct, scopes_direct
 
@@ -125,6 +125,89 @@ def test_instance_validation():
         Instance(-1, 2, {}, ())
     with pytest.raises(InputError):
         Instance(2, 3, {"neq": neq}, ())  # domain mismatch with catalog
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Instance(2.5, 2, {}, ()), "num_variables: expected an integer, got 2.5"),
+        (lambda: Instance("3", 2, {}, ()), "num_variables: expected an integer, got '3'"),
+        (lambda: Instance(True, 2, {}, ()), "num_variables: expected an integer, got True"),
+        (lambda: Instance(2, 2.0, {}, ()), "domain_size: expected an integer, got 2.0"),
+        (lambda: WeightFunction(1.0, 2, (F(1), F(1))), "arity: expected an integer, got 1.0"),
+        (lambda: WeightFunction(1, None, (F(1),)), "domain_size: expected an integer, got None"),
+    ],
+)
+def test_sizes_must_be_exact_integers(build, message):
+    with pytest.raises(InputError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("variable", [0.0, 1.0, None, "0", True, False, [0]])
+def test_instance_refuses_a_variable_that_is_not_an_integer(variable):
+    neq = resolve_builtin("neq")
+    with pytest.raises(InputError) as caught:
+        Instance(2, 2, {"neq": neq}, (Constraint("neq", (0, 1)), Constraint("neq", (1, variable))))
+    assert str(caught.value) == f"constraints[1].scope[1]: expected an integer, got {variable!r}"
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+def _int_or_junk(low, high):
+    return st.one_of(st.integers(low, high), JUNK)
+
+
+@st.composite
+def _instances_built_in_code(draw):
+    """Sizes and scope entries from small ints, or in half the draws also junk."""
+    ints = draw(st.sampled_from([st.integers, _int_or_junk]))
+    q = draw(ints(1, 3))
+    n = draw(ints(-1, 8))
+    functions = {}
+    for name in ("f", "g")[: draw(st.integers(0, 2))]:
+        arity = draw(ints(-1, 3))
+        domain = draw(st.one_of(st.just(q), ints(1, 3)))
+        valid = type(arity) is int and type(domain) is int and arity >= 0
+        length = domain**arity if valid else 1
+        length += draw(st.sampled_from([0, 0, 0, 1]))  # now and then a wrong length
+        entry = st.fractions(0, 3, max_denominator=3)
+        table = draw(st.lists(entry, min_size=length, max_size=length))
+        functions[name] = (arity, domain, tuple(table))
+    constraints = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from([*functions, "h"]))
+        arity = functions[name][0] if name in functions else 1
+        width = arity if type(arity) is int and arity >= 0 else draw(st.integers(0, 3))
+        scope = draw(st.lists(ints(-1, 8), min_size=width, max_size=width))
+        constraints.append((name, tuple(scope)))
+    return q, n, functions, constraints
+
+
+@settings(max_examples=300)
+@given(_instances_built_in_code())
+@example((2, 3, {"f": (2, 2, (F(1), F(2), F(0), F(1)))}, [("f", (0, 1)), ("f", (2, 2))]))
+@example((2, 3, {"f": (2, 2, (F(1), F(2), F(0), F(1)))}, [("f", (0, 1.0))]))
+@example((3, 2, {"f": (1, 3, (F(1), F(2), F(3)))}, [("f", (True,))]))
+@example((2, 2.0, {}, []))
+def test_evaluate_keeps_the_exit_code_contract_on_instances_built_in_code(drawn):
+    # what the command line holds for any input file, the library holds for
+    # any instance built in code: a value, an InputError or a Refusal
+    q, n, functions, constraints = drawn
+    try:
+        catalog = {name: WeightFunction(*spec) for name, spec in functions.items()}
+        inst = Instance(n, q, catalog, tuple(Constraint(f, s) for f, s in constraints))
+        value, _route = evaluate(inst)
+    except (InputError, Refusal):
+        return
+    assert value == brute_force_z(inst)
 
 
 def test_scopes_group_the_used_functions_in_catalog_order():
@@ -331,6 +414,49 @@ def test_constraints_may_use_builtin_names_without_a_catalog_entry():
         '"constraints":[{"f":"neq","scope":[0,1]},{"f":"unary:3","scope":[1]}]}'
     )
     assert brute_force_z(inst) == 4  # 0->1 weighs 3, 1->0 weighs 1
+
+
+@given(st.sampled_from(PROFILES), st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 12))
+def test_json_round_trip_of_generated_instances(profile, seed, n, m):
+    inst = random_instance(profile, seed, n, m)
+    again = instance_from_obj(json.loads(instance_to_json(inst)))
+    assert again == inst
+    assert again.scopes == inst.scopes
+
+
+def test_constraints_naming_builtins_load_them_into_the_catalog():
+    names = ["eq", "neq", "xor3", "delta0", "unary:1/2"]
+    scopes = [[0, 1], [1, 2], [0, 1, 2], [2], [1]]
+    text = json.dumps(
+        {
+            "q": 2,
+            "n": 3,
+            "functions": {},
+            "constraints": [{"f": f, "scope": s} for f, s in zip(names, scopes)],
+        }
+    )
+    inst = parse_instance(text)
+    assert inst.functions == {name: resolve_builtin(name) for name in names}
+    assert inst.constraints == tuple(Constraint(f, tuple(s)) for f, s in zip(names, scopes))
+
+
+@pytest.mark.parametrize(
+    "constraints, message",
+    [
+        # a non-integer variable is reported after a later constraint's
+        # unknown function or JSON-shape fault, and after its own arity fault
+        (
+            '[{"f":"eq","scope":[0,1.5]},{"f":"g","scope":[1]}]',
+            "constraints[1].f: unknown function 'g'",
+        ),
+        ('[{"f":"eq","scope":[null,1]},{"f":"eq"}]', "constraints[1]: missing 'f' or 'scope'"),
+        ('[{"f":"eq","scope":[0,1.5,1]}]', "constraints[0]: scope length 3 != arity 2 of 'eq'"),
+    ],
+)
+def test_the_first_fault_reported_is_shape_then_arity_then_variables(constraints, message):
+    with pytest.raises(InputError) as caught:
+        parse_instance('{"q":2,"n":2,"functions":{},"constraints":%s}' % constraints)
+    assert str(caught.value) == message
 
 
 def test_parse_instance_diagnostics():

@@ -461,8 +461,8 @@ def test_interpolation_refuses_too_many_occurrences_before_evaluating():
 
 
 def test_interpolation_refuses_a_point_too_large_before_evaluating():
-    # the probe weights and Vandermonde entries reach point**(m * m): at m = 64
-    # a 31-digit point took minutes, and the time grew with the point
+    # the evaluated values and the divided differences reach point**(m * m): at
+    # m = 64 a 31-digit point takes about 7 s, and the time grows with the point
     m = MAX_INTERPOLATION_OCCURRENCES
     unaries = _instance(2, m, {"u": unary_weight(F(2))}, [("u", (v,)) for v in range(m)])
     point = F(10**1000 + 1)
