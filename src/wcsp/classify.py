@@ -25,35 +25,20 @@ from typing import Mapping
 
 from .errors import Refusal
 from .gf2 import Gf2System, column_patterns, coset_of, coset_system
-from .model import Relation, WeightFunction, strides, table_indices
+from .model import WeightFunction, strides, table_indices
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _require_boolean(fn: WeightFunction | Relation, what: str) -> None:
+def _require_boolean(fn: WeightFunction, what: str) -> None:
     if fn.domain_size != 2:
         raise Refusal(f"{what} is only defined for domain size 2")
 
 
 # ---------------------------------------------------------------------------
-# support relations and affineness
+# affine supports
 # ---------------------------------------------------------------------------
-
-def underlying_relation(fn: WeightFunction) -> Relation:
-    """The set of tuples where the function is non-zero."""
-    return Relation(fn.arity, fn.domain_size, frozenset(fn.support_indices()))
-
-
-def is_affine_relation(relation: Relation) -> bool:
-    """Whether a Boolean relation is closed under coordinatewise a XOR b XOR c.
-
-    Equivalently: the relation is a coset of a GF(2)-linear space.  The
-    empty relation counts as affine.
-    """
-    _require_boolean(relation, "affine test")
-    return not relation.members or coset_of(relation.members) is not None
-
 
 def has_affine_support(fn: WeightFunction) -> bool:
     """Whether the support is affine; an empty support counts as affine."""

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
-from .errors import InputError, Refusal
-from .model import Relation
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -127,17 +126,22 @@ def coset_system(arity: int, origin: int, span: dict[int, int]) -> Gf2System:
     return Gf2System(arity, rows)
 
 
-def affine_system_of(relation: Relation) -> Gf2System:
-    """A GF(2) system whose solution set is exactly the given affine relation.
+def affine_system_of(arity: int, members: Collection[int]) -> Gf2System:
+    """A GF(2) system whose solution set is exactly the given affine index set.
 
-    An empty relation yields the single inconsistent row ``0 = 1``; a
-    non-affine relation is an error.
+    ``members`` are table indices of an ``arity``-bit table.  An empty set
+    yields the single inconsistent row ``0 = 1``; a member outside
+    ``0 .. 2**arity - 1``, or members that are not a coset, are an error.
     """
-    if relation.domain_size != 2:
-        raise Refusal("affine systems are only defined for domain size 2")
-    if not relation.members:
-        return Gf2System(relation.arity, ((0, 0, 1),))
-    coset = coset_of(relation.members)
+    if arity < 0:
+        raise InputError(f"arity must be non-negative, got {arity}")
+    limit = 1 << arity
+    for m in members:
+        if not 0 <= m < limit:
+            raise InputError(f"relation member {m} outside table range {limit}")
+    if not members:
+        return Gf2System(arity, ((0, 0, 1),))
+    coset = coset_of(members)
     if coset is None:
         raise InputError("relation is not affine; no linear system represents it")
-    return coset_system(relation.arity, *coset)
+    return coset_system(arity, *coset)

@@ -20,6 +20,7 @@ Key conventions, used everywhere in the package:
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -157,7 +158,7 @@ def index_to_tuple(index: int, arity: int, domain_size: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# weight functions and relations
+# weight functions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -175,6 +176,8 @@ class WeightFunction:
             raise InputError(f"domain size must be at least 2, got {self.domain_size}")
         if self.arity < 0:
             raise InputError(f"arity must be non-negative, got {self.arity}")
+        if not isinstance(self.table, tuple):  # a table is hashed, so it must be immutable
+            raise InputError(f"table: expected a tuple, got {reprlib.repr(self.table)}")
         # q**arity >= 2**arity, so an arity beyond the entry count's bit length
         # cannot match, and the possibly giant power is never computed
         entries = len(self.table)
@@ -227,28 +230,6 @@ class WeightFunction:
         return [i for i, entry in enumerate(self.table) if entry]
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A set of tuples, stored index-encoded under the shared convention."""
-
-    arity: int
-    domain_size: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        limit = self.domain_size**self.arity
-        for m in self.members:
-            if not 0 <= m < limit:
-                raise InputError(f"relation member {m} outside table range {limit}")
-
-    @classmethod
-    def from_tuples(
-        cls, arity: int, tuples: Iterable[Sequence[int]], domain_size: int = 2
-    ) -> "Relation":
-        members = frozenset(tuple_to_index(t, domain_size) for t in tuples)
-        return cls(arity, domain_size, members)
-
-
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
@@ -265,7 +246,8 @@ class Constraint:
 class Instance:
     """Variables, a function catalog, and constraints; immutable once built.
 
-    Construction checks that both sizes are ``int``, and each constraint's
+    Construction checks that both sizes are ``int``, the types of the
+    catalog, its entries and the constraint tuple, and each constraint's
     function, arity and variables (each an ``int`` in range), whether the
     instance was loaded or built in code.
     ``scopes`` maps each used function, in catalog order, to its scopes in constraint order.
@@ -284,31 +266,44 @@ class Instance:
             raise InputError(f"domain size must be at least 2, got {self.domain_size}")
         if n < 0:
             raise InputError(f"negative variable count {n}")
+        # a wrong container can hold a whole instance, so its repr is abbreviated
+        if not isinstance(self.functions, dict):
+            raise InputError(f"functions: expected a dict, got {reprlib.repr(self.functions)}")
+        if not isinstance(self.constraints, tuple):
+            raise InputError(f"constraints: expected a tuple, got {reprlib.repr(self.constraints)}")
         groups: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
         for name, fn in self.functions.items():
+            if not isinstance(fn, WeightFunction):
+                raise InputError(f"functions[{name!r}]: expected a WeightFunction, got {fn!r}")
             if fn.domain_size != self.domain_size:
                 raise InputError(
                     f"function {name!r} has domain {fn.domain_size}, instance has {self.domain_size}"
                 )
             groups[name] = (fn.arity, [])
-        for pos, c in enumerate(self.constraints):
-            group = groups.get(c.function)
-            if group is None:
-                raise InputError(f"constraints[{pos}]: unknown function {c.function!r}")
-            arity, scopes = group
-            if len(c.scope) != arity:
-                raise InputError(
-                    f"constraints[{pos}]: scope length {len(c.scope)} != arity {arity} "
-                    f"of {c.function!r}"
-                )
-            for j, v in enumerate(c.scope):
-                if type(v) is not int:
+        try:
+            for pos, c in enumerate(self.constraints):
+                group = groups.get(c.function)
+                if group is None:
+                    raise InputError(f"constraints[{pos}]: unknown function {c.function!r}")
+                arity, scopes = group
+                if len(c.scope) != arity:
                     raise InputError(
-                        f"constraints[{pos}].scope[{j}]: expected an integer, got {v!r}"
+                        f"constraints[{pos}]: scope length {len(c.scope)} != arity {arity} "
+                        f"of {c.function!r}"
                     )
-                if not 0 <= v < n:
-                    raise InputError(f"constraints[{pos}]: variable {v} out of range")
-            scopes.append(c.scope)
+                for j, v in enumerate(c.scope):
+                    if type(v) is not int:
+                        raise InputError(
+                            f"constraints[{pos}].scope[{j}]: expected an integer, got {v!r}"
+                        )
+                    if not 0 <= v < n:
+                        raise InputError(f"constraints[{pos}]: variable {v} out of range")
+                scopes.append(c.scope)
+        except (TypeError, AttributeError) as exc:
+            # not a Constraint, an unhashable name, or a scope without a length
+            raise InputError(
+                f"constraints[{pos}]: expected a Constraint of a name and a scope tuple, got {c!r}"
+            ) from exc
         object.__setattr__(self, "scopes", {name: s for name, (_, s) in groups.items() if s})
 
 

@@ -31,6 +31,7 @@ from .tractable import ParityUnionFind, evaluate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_EDGE = "edge"
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +150,13 @@ def ising_matrix(edge_weight: Fraction) -> TargetMatrix:
     return TargetMatrix(2, ((_ONE, lam), (lam, _ONE)))
 
 
-def hom_instance(graph: Graph, matrix: TargetMatrix, function_name: str = "edge") -> Instance:
+def hom_instance(graph: Graph, matrix: TargetMatrix) -> Instance:
     """The spin instance whose partition value counts weighted homomorphisms."""
-    constraints = tuple(Constraint(function_name, edge) for edge in graph.edges)
+    constraints = tuple(Constraint(_EDGE, edge) for edge in graph.edges)
     return Instance(
         graph.num_vertices,
         matrix.size,
-        {function_name: matrix.edge_function()},
+        {_EDGE: matrix.edge_function()},
         constraints,
     )
 

@@ -119,7 +119,6 @@ def simulate_projection(
     projected_name: str,
     preimage: WeightFunction,
     coordinates: Sequence[int],
-    preimage_name: str | None = None,
 ) -> Instance:
     """Replace every constraint on a projected function by its preimage.
 
@@ -139,14 +138,8 @@ def simulate_projection(
             f"{projected_name!r} is not the projection of the supplied function "
             f"onto coordinates {coords}"
         )
-    if preimage_name is None:
-        preimage_name = _fresh_name(
-            projected_name + "_lift",
-            set(instance.functions) - {projected_name},
-        )
     catalog = {n: f for n, f in instance.functions.items() if n != projected_name}
-    if preimage_name in catalog and catalog[preimage_name] != preimage:
-        raise InputError(f"function name {preimage_name!r} already bound to a different table")
+    preimage_name = _fresh_name(projected_name + "_lift", catalog)
     catalog[preimage_name] = preimage
 
     hidden = [i for i in range(preimage.arity) if i not in coords]

@@ -186,7 +186,7 @@ def eval_product_type(instance: Instance, verdict: Verdict) -> Fraction:
             return _ZERO  # a zero function annihilates every assignment
         numerators.append(witness.scale.numerator ** len(scopes))
         denominators.append(witness.scale.denominator ** len(scopes))
-        columns = list(zip(*scopes))
+        columns = [list(map(itemgetter(i), scopes)) for i in range(len(scopes[0]))]
         weighted = [(col, 1 - val, (0, 1)) for col, val in witness.constant_columns]
         for cls in witness.classes:
             rep = cls.members[0][0]

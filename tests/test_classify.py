@@ -26,12 +26,10 @@ from wcsp.classify import (
     classify_family,
     classify_function,
     has_affine_support,
-    is_affine_relation,
     is_product_like,
     is_product_type,
     is_pure_affine,
     reconstruct_product_table,
-    underlying_relation,
     useful_indices,
 )
 from wcsp.errors import Refusal
@@ -45,7 +43,7 @@ from wcsp.library import (
     scale_function,
     unary_weight,
 )
-from wcsp.model import Constraint, Instance, Relation, WeightFunction, brute_force_z
+from wcsp.model import Constraint, Instance, WeightFunction, brute_force_z, tuple_to_index
 from wcsp.reductions import pinning_reduce_boolean
 from wcsp.tractable import evaluate
 
@@ -57,17 +55,28 @@ def fn(arity, *values):
 
 
 # ---------------------------------------------------------------------------
-# affine relations
+# affine supports of 0/1 tables
+
+
+def indicator(arity, members, domain_size=2):
+    """The 0/1 table whose support is the given index set."""
+    return WeightFunction(
+        arity, domain_size, tuple(F(int(i in members)) for i in range(domain_size**arity))
+    )
+
+
+def support_of(arity, tuples, domain_size=2):
+    return indicator(arity, {tuple_to_index(t, domain_size) for t in tuples}, domain_size)
 
 
 def test_affine_relation_hand_values():
-    odd = Relation.from_tuples(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
-    assert is_affine_relation(odd)
-    horn = Relation.from_tuples(2, [(0, 1), (1, 0), (1, 1)])
-    assert not is_affine_relation(horn)
-    assert is_affine_relation(Relation.from_tuples(2, []))
-    assert is_affine_relation(Relation.from_tuples(0, [()]))
-    assert is_affine_relation(Relation.from_tuples(2, [(1, 0)]))
+    odd = support_of(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
+    assert has_affine_support(odd)
+    horn = support_of(2, [(0, 1), (1, 0), (1, 1)])
+    assert not has_affine_support(horn)
+    assert has_affine_support(support_of(2, []))
+    assert has_affine_support(support_of(0, [()]))
+    assert has_affine_support(support_of(2, [(1, 0)]))
 
 
 @given(st.integers(0, 4), st.data())
@@ -75,21 +84,18 @@ def test_affine_relation_matches_closure_oracle(arity, data):
     members = data.draw(
         st.frozensets(st.integers(0, 2**arity - 1), max_size=2**arity)
     )
-    relation = Relation(arity, 2, members)
-    assert is_affine_relation(relation) == affine_by_closure(members, arity)
+    assert has_affine_support(indicator(arity, members)) == affine_by_closure(members, arity)
 
 
 def test_affine_relation_exhaustive_arity_3():
     for bits in range(1 << 8):
         members = frozenset(i for i in range(8) if bits >> i & 1)
-        assert is_affine_relation(Relation(3, 2, members)) == affine_by_closure(
-            members, 3
-        )
+        assert has_affine_support(indicator(3, members)) == affine_by_closure(members, 3)
 
 
 def test_affine_relation_refuses_larger_domains():
     with pytest.raises(Refusal):
-        is_affine_relation(Relation.from_tuples(1, [(2,)], domain_size=3))
+        has_affine_support(support_of(1, [(2,)], domain_size=3))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +388,9 @@ def test_a_pure_affine_reduction_builds_each_system_once(monkeypatch):
     k = 9
     built = []
 
-    def counting(relation):
-        built.append(relation.arity)
-        return affine_system_of(relation)
+    def counting(arity, members):
+        built.append(arity)
+        return affine_system_of(arity, members)
 
     def counting_coset(arity, origin, span):
         built.append(arity)
@@ -392,7 +398,7 @@ def test_a_pure_affine_reduction_builds_each_system_once(monkeypatch):
 
     classify._table_report.cache_clear()
     # classification builds the system from the support's coset, and
-    # evaluation could rebuild it from the relation; count both
+    # evaluation could rebuild it from the support; count both
     monkeypatch.setattr(classify, "coset_system", counting_coset)
     monkeypatch.setattr(tractable, "affine_system_of", counting)
     # odd parity of odd arity at level 3: pure affine, not flip-symmetric, so

@@ -554,7 +554,7 @@ def test_reduce_project_never_reports_success_on_a_bad_transform(
     inst_path = write(tmp_path, "inst.json", instance)
     pre_path = write(tmp_path, "pre.json", preimage)
 
-    def corrupted(inst, name, fn, coords, preimage_name=None):
+    def corrupted(inst, name, fn, coords):
         return parse_instance(XOR3_INSTANCE)
 
     monkeypatch.setattr(cli, "simulate_projection", corrupted)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import gf2_count_direct, span_closure
 
-from wcsp.errors import InputError, Refusal
+from wcsp.errors import InputError
 from wcsp.gf2 import Gf2System, affine_system_of, count_solutions, xor_basis
-from wcsp.model import Relation, tuple_to_index
+from wcsp.model import tuple_to_index
 
 
 def test_count_hand_values():
@@ -102,7 +102,7 @@ def test_xor_basis_rank_is_the_log_of_the_span(vectors):
 
 
 # ---------------------------------------------------------------------------
-# relation -> system
+# index set -> system
 
 
 def _solution_set(system: Gf2System, arity: int) -> frozenset[int]:
@@ -128,37 +128,44 @@ def _solution_set(system: Gf2System, arity: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _members(tuples) -> frozenset[int]:
+    return frozenset(tuple_to_index(t, 2) for t in tuples)
+
+
 def test_affine_system_of_known_relations():
-    odd = Relation.from_tuples(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
-    system = affine_system_of(odd)
+    odd = _members([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
+    system = affine_system_of(3, odd)
     assert system.rows == ((0, 0b111, 1),)
 
-    diag = Relation.from_tuples(2, [(0, 0), (1, 1)])
-    system = affine_system_of(diag)
+    diag = _members([(0, 0), (1, 1)])
+    system = affine_system_of(2, diag)
     assert system.rows == ((0, 0b11, 0),)
 
-    full = Relation.from_tuples(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert affine_system_of(full).rows == ()
+    full = _members([(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert affine_system_of(2, full).rows == ()
 
-    empty = Relation.from_tuples(2, [])
-    assert affine_system_of(empty).rows == ((0, 0, 1),)
+    assert affine_system_of(2, frozenset()).rows == ((0, 0, 1),)
 
-    point = Relation.from_tuples(2, [(1, 0)])
-    system = affine_system_of(point)
-    assert _solution_set(system, 2) == point.members
+    point = _members([(1, 0)])
+    system = affine_system_of(2, point)
+    assert _solution_set(system, 2) == point
 
 
 def test_affine_system_of_rejects_non_affine():
-    horn = Relation.from_tuples(2, [(0, 1), (1, 0), (1, 1)])
+    horn = _members([(0, 1), (1, 0), (1, 1)])
     with pytest.raises(InputError):
-        affine_system_of(horn)
-    with pytest.raises(Refusal):
-        affine_system_of(Relation.from_tuples(1, [(0,)], domain_size=3))
+        affine_system_of(2, horn)
+    with pytest.raises(InputError, match="outside table range 2"):
+        affine_system_of(1, {0, 2})
+    with pytest.raises(InputError, match="outside table range 2"):
+        affine_system_of(1, {-1})
+    with pytest.raises(InputError, match="arity must be non-negative"):
+        affine_system_of(-1, ())
 
 
 @given(st.integers(0, 8), st.data())
 def test_affine_system_round_trips_the_relation(arity, data):
-    # Build an affine relation as a coset of a random span, then check that
+    # Build an affine index set as a coset of a random span, then check that
     # the emitted system has exactly that solution set, one row per
     # dimension the span lacks.
     generators = data.draw(
@@ -168,9 +175,8 @@ def test_affine_system_round_trips_the_relation(arity, data):
     members = {shift}
     for g in generators:
         members |= {m ^ g for m in members}
-    relation = Relation(arity, 2, frozenset(members))
-    system = affine_system_of(relation)
+    system = affine_system_of(arity, members)
     assert system.num_variables == arity
-    assert _solution_set(system, arity) == relation.members
+    assert _solution_set(system, arity) == members
     rank = len(members).bit_length() - 1
     assert len(system.rows) == arity - rank

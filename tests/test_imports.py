@@ -6,7 +6,8 @@ and the unused-local rule (F841), which also guards the test files, and find
 module-level private names that no package module reads (dead code).  One
 more check holds ``wcsp.__all__`` to exactly the public names that
 ``__init__.py`` imports, and one holds the imports inside function bodies to
-the loader's single deferred one.
+the loader's single deferred one, and one holds the module-level imports
+between package modules to a graph without a cycle.
 ``__init__.py`` re-exports by design and is skipped by the import check; an
 import line marked ``# noqa: F401`` is a deliberate re-export.
 """
@@ -337,3 +338,83 @@ def test_the_only_import_in_a_function_is_the_loaders_builtin_lookup():
     assert {name: found for name, found in hits.items() if found} == {
         "model.py": ["instance_from_obj: from .library import resolve_builtin"]
     }
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that a module imports outside function bodies.
+
+    ``from .a import b`` and ``from .a.c import b`` name ``a``; ``from . import a``
+    names ``a``.
+    """
+    found = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                if child.module:
+                    found.add(child.module.split(".")[0])
+                else:
+                    found.update(alias.name for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of the graph as the path that closes it, or ``[]`` when it has none."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def walk(node: str) -> list[str]:
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        path.append(node)
+        for target in sorted(graph.get(node, ())):
+            cycle = walk(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        cycle = walk(node)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_the_check_finds_import_cycles():
+    source = (
+        "from . import a, b\n"
+        "from .c.d import e\n"
+        "from .errors import InputError\n"
+        "import json\n"
+        "from json import dumps\n"
+        "if True:\n"
+        "    from .f import g\n"
+        "def h():\n"
+        "    from .i import j\n"
+        "class K:\n"
+        "    from .l import m\n"
+    )
+    assert package_imports(source) == {"a", "b", "c", "errors", "f", "l"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+    assert import_cycle({"a": {"a"}}) == ["a", "a"]
+
+
+def test_package_imports_are_layered():
+    graph = {
+        path.stem: package_imports(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert import_cycle(graph) == []
+    # the GF(2) routines take bit-packed ints, so they need no model type
+    assert graph["gf2"] == {"errors"}
+    assert graph["errors"] == set()

@@ -152,6 +152,52 @@ def test_instance_refuses_a_variable_that_is_not_an_integer(variable):
     assert str(caught.value) == f"constraints[1].scope[1]: expected an integer, got {variable!r}"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda neq: Instance(2, 2, {"neq": neq}, (Constraint(["neq"], (0, 1)),)),
+            "constraints[0]: expected a Constraint of a name and a scope tuple, "
+            "got Constraint(function=['neq'], scope=(0, 1))",
+        ),
+        (
+            lambda neq: Instance(
+                2, 2, {"neq": neq}, (Constraint("neq", (0, 1)), Constraint("neq", None))
+            ),
+            "constraints[1]: expected a Constraint of a name and a scope tuple, "
+            "got Constraint(function='neq', scope=None)",
+        ),
+        (
+            lambda neq: Instance(2, 2, {"neq": neq}, (("neq", (0, 1)),)),
+            "constraints[0]: expected a Constraint of a name and a scope tuple, "
+            "got ('neq', (0, 1))",
+        ),
+        (
+            lambda neq: Instance(2, 2, {"neq": "x"}, ()),
+            "functions['neq']: expected a WeightFunction, got 'x'",
+        ),
+        (lambda neq: Instance(2, 2, None, ()), "functions: expected a dict, got None"),
+        (lambda neq: Instance(2, 2, {}, None), "constraints: expected a tuple, got None"),
+        (
+            lambda neq: Instance(2, 2, {"neq": neq}, [Constraint("neq", (0, 1))] * 1000),
+            "constraints: expected a tuple, got [Constraint(fu... scope=(0, 1)), "
+            "Constraint(fu... scope=(0, 1)), Constraint(fu... scope=(0, 1)), "
+            "Constraint(fu... scope=(0, 1)), Constraint(fu... scope=(0, 1)), "
+            "Constraint(fu... scope=(0, 1)), ...]",
+        ),
+        (lambda neq: WeightFunction(1, 2, None), "table: expected a tuple, got None"),
+        (
+            lambda neq: WeightFunction(1, 2, list(neq.table[:2])),
+            "table: expected a tuple, got [Fraction(0, 1), Fraction(1, 1)]",
+        ),
+    ],
+)
+def test_containers_of_the_wrong_type_are_named_with_their_repr(build, message):
+    with pytest.raises(InputError) as caught:
+        build(resolve_builtin("neq"))
+    assert str(caught.value) == message
+
+
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -167,8 +213,17 @@ def _int_or_junk(low, high):
 
 @st.composite
 def _instances_built_in_code(draw):
-    """Sizes and scope entries from small ints, or in half the draws also junk."""
+    """Sizes, scope entries and containers from valid values, or in half the
+    draws also junk: a junk name, scope, table, catalog entry, constraint
+    (a bare tuple among them), catalog or constraint tuple."""
     ints = draw(st.sampled_from([st.integers, _int_or_junk]))
+    junk = ints is _int_or_junk
+
+    def maybe_junk(value, *alternatives):
+        if not junk:
+            return value
+        return draw(st.one_of(st.just(value), *map(st.just, alternatives), JUNK))
+
     q = draw(ints(1, 3))
     n = draw(ints(-1, 8))
     functions = {}
@@ -180,30 +235,52 @@ def _instances_built_in_code(draw):
         length += draw(st.sampled_from([0, 0, 0, 1]))  # now and then a wrong length
         entry = st.fractions(0, 3, max_denominator=3)
         table = draw(st.lists(entry, min_size=length, max_size=length))
-        functions[name] = (arity, domain, tuple(table))
+        spec = (arity, domain, maybe_junk(tuple(table), table))
+        functions[name] = maybe_junk(spec)  # a spec is built; any other value is put in as is
     constraints = []
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from([*functions, "h"]))
-        arity = functions[name][0] if name in functions else 1
+        arity = functions[name][0] if isinstance(functions.get(name), tuple) else 1
         width = arity if type(arity) is int and arity >= 0 else draw(st.integers(0, 3))
-        scope = draw(st.lists(ints(-1, 8), min_size=width, max_size=width))
-        constraints.append((name, tuple(scope)))
-    return q, n, functions, constraints
+        scope = tuple(draw(st.lists(ints(-1, 8), min_size=width, max_size=width)))
+        constraint = Constraint(maybe_junk(name), maybe_junk(scope))
+        constraints.append(maybe_junk(constraint, (name, scope)))
+    return q, n, maybe_junk(functions), maybe_junk(tuple(constraints))
 
 
 @settings(max_examples=300)
 @given(_instances_built_in_code())
-@example((2, 3, {"f": (2, 2, (F(1), F(2), F(0), F(1)))}, [("f", (0, 1)), ("f", (2, 2))]))
-@example((2, 3, {"f": (2, 2, (F(1), F(2), F(0), F(1)))}, [("f", (0, 1.0))]))
-@example((3, 2, {"f": (1, 3, (F(1), F(2), F(3)))}, [("f", (True,))]))
-@example((2, 2.0, {}, []))
+@example(
+    (
+        2,
+        3,
+        {"f": (2, 2, (F(1), F(2), F(0), F(1)))},
+        (Constraint("f", (0, 1)), Constraint("f", (2, 2))),
+    )
+)
+@example((2, 3, {"f": (2, 2, (F(1), F(2), F(0), F(1)))}, (Constraint("f", (0, 1.0)),)))
+@example((3, 2, {"f": (1, 3, (F(1), F(2), F(3)))}, (Constraint("f", (True,)),)))
+@example((2, 2.0, {}, ()))
+@example((2, 2, {"f": (1, 2, (F(1), F(2)))}, (Constraint(["f"], (0,)),)))
+@example((2, 2, {"f": (1, 2, (F(1), F(2)))}, (Constraint("f", None),)))
+@example((2, 2, {"f": "x"}, ()))
+@example((2, 2, {"f": (1, 2, (F(1), F(2)))}, (("f", (0,)),)))
+@example((2, 2, {"f": (1, 2, None)}, ()))
+@example((2, 2, None, ()))
+@example((2, 2, {}, None))
+@example((2, 2, {"f": (1, 2, [F(1), F(2)])}, (Constraint("f", (0,)),)))
 def test_evaluate_keeps_the_exit_code_contract_on_instances_built_in_code(drawn):
     # what the command line holds for any input file, the library holds for
     # any instance built in code: a value, an InputError or a Refusal
     q, n, functions, constraints = drawn
     try:
-        catalog = {name: WeightFunction(*spec) for name, spec in functions.items()}
-        inst = Instance(n, q, catalog, tuple(Constraint(f, s) for f, s in constraints))
+        catalog = functions
+        if isinstance(functions, dict):
+            catalog = {
+                name: WeightFunction(*spec) if isinstance(spec, tuple) else spec
+                for name, spec in functions.items()
+            }
+        inst = Instance(n, q, catalog, constraints)
         value, _route = evaluate(inst)
     except (InputError, Refusal):
         return

@@ -199,9 +199,9 @@ def test_simulate_projection_chained():
 def test_simulate_projection_all_coordinates_renames():
     neq = binary_disequality()
     inst = _instance(2, 2, {"g": neq}, [("g", (0, 1))])
-    renamed = simulate_projection(inst, "g", neq, (0, 1), preimage_name="f")
-    assert set(renamed.functions) == {"f"}
-    assert renamed.constraints == (Constraint("f", (0, 1)),)
+    renamed = simulate_projection(inst, "g", neq, (0, 1))
+    assert set(renamed.functions) == {"g_lift"}
+    assert renamed.constraints == (Constraint("g_lift", (0, 1)),)
     assert renamed.num_variables == 2
 
 

@@ -585,7 +585,7 @@ def test_constraint_order_changes_neither_value_nor_route(profile, seed, n, m, r
 
 
 def test_evaluate_trusts_its_own_pure_affine_verdict(monkeypatch):
-    def recheck(fn):
+    def recheck(*args):
         raise AssertionError("pure-affine function checked a second time")
 
     monkeypatch.setattr(tractable, "is_pure_affine", recheck)
