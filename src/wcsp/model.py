@@ -248,8 +248,8 @@ class Instance:
 
     Construction checks that both sizes are ``int``, the types of the
     catalog, its entries and the constraint tuple, and each constraint's
-    function, arity and variables (each an ``int`` in range), whether the
-    instance was loaded or built in code.
+    function, scope tuple, arity and variables (each an ``int`` in range),
+    whether the instance was loaded or built in code.
     ``scopes`` maps each used function, in catalog order, to its scopes in constraint order.
     """
 
@@ -286,6 +286,8 @@ class Instance:
                 if group is None:
                     raise InputError(f"constraints[{pos}]: unknown function {c.function!r}")
                 arity, scopes = group
+                if type(c.scope) is not tuple:
+                    raise TypeError("scope is not a tuple")
                 if len(c.scope) != arity:
                     raise InputError(
                         f"constraints[{pos}]: scope length {len(c.scope)} != arity {arity} "
@@ -300,7 +302,7 @@ class Instance:
                         raise InputError(f"constraints[{pos}]: variable {v} out of range")
                 scopes.append(c.scope)
         except (TypeError, AttributeError) as exc:
-            # not a Constraint, an unhashable name, or a scope without a length
+            # not a Constraint, an unhashable name, or a scope that is not a tuple
             raise InputError(
                 f"constraints[{pos}]: expected a Constraint of a name and a scope tuple, got {c!r}"
             ) from exc

@@ -22,8 +22,8 @@ from itertools import count, permutations
 from math import factorial, isqrt, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .classify import classify_function
 from .errors import InputError, InvariantViolation, Refusal
+from .gf2 import coset_of
 from .library import delta, parity_indicator, unary_weight
 from .model import (
     Constraint,
@@ -295,6 +295,15 @@ def interpolation_polynomial(
         f"interpolating {unary_name!r} over {occurrences} occurrences at a {point_bits}-bit point",
         occurrences * occurrences * point_bits,
     )
+    # about m**2 rational steps on values of up to m**2 * b bits, each
+    # quadratic in their size through its gcd
+    work = occurrences**6 * point_bits**2
+    if work > MAX_INTERPOLATION_WORK:
+        raise Refusal(
+            f"interpolating {unary_name!r} over {occurrences} occurrences at a {point_bits}-bit "
+            f"point: the solve can take about {work} bit operations, beyond the limit of "
+            f"{MAX_INTERPOLATION_WORK}"
+        )
     probe_name = _fresh_name("probe_unary", instance.functions)
     catalog = {n: f for n, f in instance.functions.items() if n != unary_name}
     catalog[probe_name] = unary_weight(ratio)
@@ -462,15 +471,16 @@ def extract_unary(fn: WeightFunction) -> UnaryExtraction | PinRecursion:
     support = fn.support_indices()
     if not support:
         raise Refusal("unary extraction needs a non-empty support")
-    report = classify_function(fn)
-    if not report.affine_support:
+    coset = coset_of(support)
+    if coset is None:
         raise Refusal("unary extraction requires an affine support")
-    if report.pure_affine:
+    if all(fn.table[index] == fn.table[support[0]] for index in support):
         raise Refusal("the function is pure affine; there is no unary to extract")
 
+    # every bit a member of the coset varies in is set in some basis vector
     varying = 0
-    for index in support:
-        varying |= index ^ support[0]
+    for vec in coset[1].values():
+        varying |= vec
     # the first varying column is the highest varying bit
     column = fn.arity - varying.bit_length()
     side_values: tuple[set[Fraction], set[Fraction]] = (set(), set())
@@ -509,6 +519,11 @@ MAX_PARTITION_DOMAIN = 6
 #: the m + 1 coefficients in O(m**2) operations on rationals as large as
 #: point**(m*m).
 MAX_INTERPOLATION_OCCURRENCES = 64
+
+#: Interpolation is enforced up to this much solve work m**6 * b**2 for a
+#: b-bit point.  At m = 64 a 31-digit point (about 7 * 10**14) takes about
+#: 7 s, and a 255-bit point (about 4.5 * 10**15) took 45 s, on a 2-vCPU VM.
+MAX_INTERPOLATION_WORK = 2**50
 
 
 @dataclass(frozen=True)

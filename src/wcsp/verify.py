@@ -41,10 +41,10 @@ def _compare(
     return CheckResult(suite, name, got == expected, f"{got} vs {against} {expected}")
 
 
-def check_oracle_equivalence(seed: int, trials: int = 24) -> list[CheckResult]:
+def check_oracle_equivalence(seed: int) -> list[CheckResult]:
     """Dispatcher output equals enumeration on random small instances."""
     results = []
-    for trial in range(trials):
+    for trial in range(24):
         profile = ("product-type", "pure-affine", "mixed")[trial % 3]
         instance = random_instance(profile, seed * 1000 + trial, 6, 7)
         fast, route = evaluate(instance)
@@ -70,17 +70,17 @@ def _with_pins(instance: Instance, rng: random.Random) -> Instance:
     )
 
 
-def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
+def check_reductions(seed: int) -> list[CheckResult]:
     """Pin elimination, projection simulation, and interpolation vs the oracle."""
     results = []
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(16):
         base = random_instance("mixed", seed * 2000 + trial, 5, 5)
         pinned = _with_pins(base, rng)
         expected = brute_force_z(pinned)
         got = pinning_reduce_boolean(pinned, brute_force_z)
         results.append(_compare("reductions", f"pin-elimination-{trial}", got, expected))
-    for trial in range(trials):
+    for trial in range(16):
         base = random_instance("mixed", seed * 3000 + trial, 5, 4)
         name = next(iter(base.functions))
         fn = base.functions[name]
@@ -107,7 +107,7 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
         results.append(
             _compare("reductions", f"projection-simulation-{trial}", got, expected)
         )
-    for trial in range(trials):
+    for trial in range(16):
         base = random_instance("mixed", seed * 4000 + trial, 5, 4)
         functions = dict(base.functions)
         weight = rng.choice((Fraction(3), Fraction(1, 2), Fraction(7)))
@@ -133,12 +133,12 @@ def check_reductions(seed: int, trials: int = 16) -> list[CheckResult]:
     return results
 
 
-def check_cut_identity(seed: int, trials: int = 20) -> list[CheckResult]:
+def check_cut_identity(seed: int) -> list[CheckResult]:
     """Cut-space enumerator equals half the two-spin value on random graphs."""
     results = []
     rng = random.Random(seed)
     weights = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
-    for trial in range(trials):
+    for trial in range(20):
         n = rng.randint(2, 7)
         graph = random_connected_graph(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
         weight = rng.choice(weights)

@@ -30,6 +30,7 @@ from wcsp.model import (
     parse_instance,
 )
 from wcsp.models import Graph, hom_instance, ising_matrix
+from wcsp.reductions import MAX_INTERPOLATION_WORK
 
 XOR3_INSTANCE = (
     '{"q":2,"n":3,"functions":{"xor3":{"arity":3,'
@@ -1381,6 +1382,31 @@ def test_model_wenum_refuses_a_value_beyond_the_bit_limit(tmp_path):
     assert result.stderr == (
         f"wcsp: refused: weight enumerator: the value can need {bits} bits or more, "
         f"beyond the limit of {MAX_VALUE_BITS}\n"
+    ).encode()
+
+
+def test_interpolation_refuses_a_solve_beyond_the_work_limit(tmp_path):
+    # 64 unaries at the 255-bit point 2**255 - 19 pass the value-bits check
+    # (64 * 64 * 256 bits is exactly the limit), and the solve ran for 45 s;
+    # a child process under a 1 GiB address-space cap refuses before
+    # evaluating
+    path = write(tmp_path, "unaries.json", _unary_occurrences(64))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import wcsp.cli\n"
+        "sys.exit(wcsp.cli.main(sys.argv[1:]))\n"
+    )
+    start = time.perf_counter()
+    result = _child(
+        script, "reduce", "interpolate", path, "--unary", "f", "--point", str(2**255 - 19)
+    )
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 3 and not result.stdout
+    assert result.stderr == (
+        f"wcsp: refused: interpolating 'f' over 64 occurrences at a 256-bit point: the "
+        f"solve can take about {64**6 * 256**2} bit operations, beyond the limit of "
+        f"{MAX_INTERPOLATION_WORK}\n"
     ).encode()
 
 

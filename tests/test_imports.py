@@ -418,3 +418,5 @@ def test_package_imports_are_layered():
     # the GF(2) routines take bit-packed ints, so they need no model type
     assert graph["gf2"] == {"errors"}
     assert graph["errors"] == set()
+    # unary extraction reads one coset of the support, not a classification
+    assert "classify" not in graph["reductions"]

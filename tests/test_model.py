@@ -168,6 +168,11 @@ def test_instance_refuses_a_variable_that_is_not_an_integer(variable):
             "got Constraint(function='neq', scope=None)",
         ),
         (
+            lambda neq: Instance(2, 2, {"neq": neq}, (Constraint("neq", [0, 1]),)),
+            "constraints[0]: expected a Constraint of a name and a scope tuple, "
+            "got Constraint(function='neq', scope=[0, 1])",
+        ),
+        (
             lambda neq: Instance(2, 2, {"neq": neq}, (("neq", (0, 1)),)),
             "constraints[0]: expected a Constraint of a name and a scope tuple, "
             "got ('neq', (0, 1))",

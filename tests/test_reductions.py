@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from oracles import (
     project_direct,
 )
 
+import wcsp.classify as classify
 from wcsp.classify import is_pure_affine
 from wcsp.errors import InputError, InvariantViolation, Refusal
 from wcsp.library import (
@@ -658,6 +660,71 @@ def test_extract_unary_iterated_terminates():
     assert isinstance(outcome, UnaryExtraction)
     assert outcome.ratio not in (0, 1)
     assert steps >= 1
+
+
+def test_extract_unary_iterated_classifies_nothing(monkeypatch):
+    # extraction reads one coset of the support; it needs no classification
+    original = classify.classify_function
+    calls = []
+
+    def counting(table):
+        calls.append(table)
+        return original(table)
+
+    holders = [
+        module
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "wcsp" and getattr(module, "classify_function", None) is original
+    ]
+    assert classify in holders
+    for module in holders:
+        monkeypatch.setattr(module, "classify_function", counting)
+    outcome, steps = extract_unary_iterated(fn(3, 1, 0, 0, 2, 0, 1, 2, 0))
+    assert isinstance(outcome, UnaryExtraction) and steps == 1
+    assert calls == []
+
+
+_LEVELS = tuple(map(F, ("1/2", 1, 2, 3)))
+
+
+@st.composite
+def _tables_with_affine_supports(draw):
+    arity = draw(st.integers(0, 5))
+    span = {0}
+    for vec in draw(st.lists(st.integers(0, 2**arity - 1), max_size=arity)):
+        span |= {member ^ vec for member in span}
+    origin = draw(st.integers(0, 2**arity - 1))
+    table = [F(0)] * 2**arity
+    for member in span:
+        table[origin ^ member] = draw(st.sampled_from(_LEVELS))
+    return WeightFunction(arity, 2, tuple(table))
+
+
+_ANY_TABLES = st.integers(0, 5).flatmap(
+    lambda arity: st.tuples(*[st.sampled_from((F(0),) + _LEVELS)] * 2**arity).map(
+        lambda table: WeightFunction(arity, 2, table)
+    )
+)
+
+
+@given(st.one_of(_ANY_TABLES, _tables_with_affine_supports()))
+def test_extract_unary_refuses_exactly_the_classifier_refusals(table):
+    report = classify.classify_function(table)
+    if not table.support_indices() or not report.affine_support or report.pure_affine:
+        with pytest.raises(Refusal):
+            extract_unary(table)
+        return
+    outcome = extract_unary(table)
+    column = outcome.column
+    if isinstance(outcome, PinRecursion):
+        assert outcome.function == pin_coordinate(table, column, outcome.value)
+        assert len(set(outcome.function.table) - {0}) >= 2
+        return
+    assert isinstance(outcome, UnaryExtraction)
+    assert outcome.ratio not in (0, 1)
+    assert outcome.function == unary_weight(outcome.ratio)
+    low, high = project(table, (column,)).table
+    assert high / low == outcome.ratio
 
 
 def test_affine_support_columns_are_balanced():

@@ -1,18 +1,25 @@
 """Polynomial evaluators versus the enumeration oracle."""
 
+import random
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import parity_components_direct, partition_function_direct
 
 import wcsp.tractable as tractable
 from wcsp.errors import Refusal
-from wcsp.generate import parity_spread, product_type_chain, random_instance
-from wcsp.classify import classify_family
+from wcsp.generate import (
+    parity_spread,
+    product_type_chain,
+    random_instance,
+    random_product_type_function,
+    random_pure_affine_function,
+)
+from wcsp.classify import classify_family, classify_function
 from wcsp.library import (
     binary_disequality,
     binary_equality,
@@ -674,3 +681,65 @@ def test_elimination_budget_bounds_the_largest_table():
     dense = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
     with pytest.raises(Refusal, match="width 39"):
         evaluate(hom_instance(dense, ising_matrix(F(3))))
+
+
+# ---------------------------------------------------------------------------
+# cross-route ladder: past the oracle's reach, elimination checks the routes
+
+
+@st.composite
+def _ladder_instances(draw):
+    """A chain, a tree or a band of width 2 or 3 over 50..2000 variables, of
+    random product-type or pure-affine tables, with unaries on a quarter of
+    the variables, the labels relabelled and the constraints shuffled.
+
+    Each constraint flips the coordinates of a base table so that one
+    planted assignment lies in the support, so the value is positive, and
+    at large sizes it runs to thousands of digits.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    family = rng.choice(["product-type", "pure-affine"])
+    shape = rng.choice(["chain", "tree", "band"])
+    n = rng.randint(50, 2000)
+    make = random_product_type_function if family == "product-type" else random_pure_affine_function
+    if shape == "tree":
+        scopes = [(rng.randrange(v), v) for v in range(1, n)]
+    else:
+        width = rng.randint(2, 3) if shape == "band" else 1
+        scopes = [tuple(range(v, v + width + 1)) for v in range(n - width)]
+    scopes += [(v,) for v in rng.sample(range(n), n // 4)]
+    # three non-zero tables of each arity, those of no product type first,
+    # so that some pure-affine families take the pure-affine route
+    bases = {}
+    for arity in {len(s) for s in scopes}:
+        drawn = [base for base in (make(rng, arity) for _ in range(12)) if any(base.table)]
+        bases[arity] = sorted(drawn, key=lambda base: classify_function(base).product_type)[:3]
+    planted = [rng.randrange(2) for _ in range(n)]
+    label = rng.sample(range(n), n)
+    functions = {}
+    constraints = []
+    for scope in scopes:
+        arity = len(scope)
+        pick = rng.randrange(len(bases[arity]))
+        base = bases[arity][pick]
+        point = sum(planted[v] << (arity - 1 - j) for j, v in enumerate(scope))
+        flip = base.support_indices()[0] ^ point
+        name = f"f{arity}.{pick}^{flip}"
+        if name not in functions:
+            table = tuple(base.table[i ^ flip] for i in range(1 << arity))
+            functions[name] = WeightFunction(arity, 2, table)
+        constraints.append(Constraint(name, tuple(label[v] for v in scope)))
+    rng.shuffle(constraints)
+    return family, Instance(n, 2, functions, tuple(constraints))
+
+
+@settings(max_examples=30, derandomize=True)
+@given(_ladder_instances())
+def test_tractable_routes_match_elimination_at_scale(case):
+    family, instance = case
+    value, route = evaluate(instance)
+    # a pure-affine family whose tables are all product type goes that route
+    assert route in ("product-type", family)
+    assert value == eval_elimination(instance)
+    if family == "pure-affine":
+        assert eval_pure_affine(instance, _verdict(instance)) == value
