@@ -13,6 +13,10 @@ Key conventions, used everywhere in the package:
   ``sum(x_i * q**(k-i))`` -- the first coordinate is the most significant,
 * :meth:`WeightFunction.lookup` reads a table at a validated tuple; the
   evaluators and classifiers index ``table`` directly by that layout,
+* an :class:`Instance` stores its constraints grouped by function
+  (``Instance.scopes``), the form every evaluator reads; the loader builds
+  that form directly, and a tuple of :class:`Constraint` objects is made only
+  when ``Instance.constraints`` is read,
 * exhaustive enumeration refuses (rather than approximates) once the number of
   weighted states exceeds a configurable budget, ``2**30`` by default.
 """
@@ -21,10 +25,10 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, Refusal
@@ -242,71 +246,181 @@ class Constraint:
     scope: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Instance:
     """Variables, a function catalog, and constraints; immutable once built.
 
-    Construction checks that both sizes are ``int``, the types of the
-    catalog, its entries and the constraint tuple, and each constraint's
-    function, scope tuple, arity and variables (each an ``int`` in range),
-    whether the instance was loaded or built in code.
-    ``scopes`` maps each used function, in catalog order, to its scopes in constraint order.
+    The stored form is the one the evaluators read: ``scopes`` maps each used
+    function, in catalog order, to its scopes in constraint order, and a
+    tuple holds each constraint's function name in input order.
+    ``constraints``, the tuple of :class:`Constraint`, is derived from the two
+    on first read and cached.  A loaded instance builds it only when
+    something reads it, and evaluating a tractable instance never does; an
+    instance built in code keeps the tuple it was given.
+
+    Loaded or built in code, an instance passes one check.  The header comes
+    first: both sizes are ``int``, the catalog is a ``dict`` of
+    ``WeightFunction`` entries over the instance's domain.  In code, the
+    constraints must then be a tuple of objects with a catalog name and a
+    scope tuple (the loader checks the JSON shape instead).  Last, each
+    function's scopes are checked in bulk for its arity and for variables
+    that are ``int`` in ``[0, num_variables)``; only when that fails are the
+    constraints walked in input order, to name the first fault.
     """
 
     num_variables: int
     domain_size: int
     functions: dict[str, WeightFunction]
-    constraints: tuple[Constraint, ...]
-    scopes: dict[str, list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    scopes: dict[str, list[tuple[int, ...]]]
 
-    def __post_init__(self) -> None:
-        n = _require_int(self.num_variables, "num_variables")
-        _require_int(self.domain_size, "domain_size")
-        if self.domain_size < 2:
-            raise InputError(f"domain size must be at least 2, got {self.domain_size}")
-        if n < 0:
-            raise InputError(f"negative variable count {n}")
+    def __init__(
+        self,
+        num_variables: int,
+        domain_size: int,
+        functions: dict[str, WeightFunction],
+        constraints: tuple[Constraint, ...],
+    ) -> None:
+        _check_header(num_variables, domain_size, functions)
         # a wrong container can hold a whole instance, so its repr is abbreviated
-        if not isinstance(self.functions, dict):
-            raise InputError(f"functions: expected a dict, got {reprlib.repr(self.functions)}")
-        if not isinstance(self.constraints, tuple):
-            raise InputError(f"constraints: expected a tuple, got {reprlib.repr(self.constraints)}")
-        groups: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
-        for name, fn in self.functions.items():
-            if not isinstance(fn, WeightFunction):
-                raise InputError(f"functions[{name!r}]: expected a WeightFunction, got {fn!r}")
-            if fn.domain_size != self.domain_size:
-                raise InputError(
-                    f"function {name!r} has domain {fn.domain_size}, instance has {self.domain_size}"
-                )
-            groups[name] = (fn.arity, [])
+        if not isinstance(constraints, tuple):
+            raise InputError(f"constraints: expected a tuple, got {reprlib.repr(constraints)}")
+        groups: dict[str, list[tuple[int, ...]]] = {name: [] for name in functions}
+        names = []
         try:
-            for pos, c in enumerate(self.constraints):
+            for pos, c in enumerate(constraints):
                 group = groups.get(c.function)
                 if group is None:
                     raise InputError(f"constraints[{pos}]: unknown function {c.function!r}")
-                arity, scopes = group
                 if type(c.scope) is not tuple:
                     raise TypeError("scope is not a tuple")
-                if len(c.scope) != arity:
-                    raise InputError(
-                        f"constraints[{pos}]: scope length {len(c.scope)} != arity {arity} "
-                        f"of {c.function!r}"
-                    )
-                for j, v in enumerate(c.scope):
-                    if type(v) is not int:
-                        raise InputError(
-                            f"constraints[{pos}].scope[{j}]: expected an integer, got {v!r}"
-                        )
-                    if not 0 <= v < n:
-                        raise InputError(f"constraints[{pos}]: variable {v} out of range")
-                scopes.append(c.scope)
+                group.append(c.scope)
+                names.append(c.function)
         except (TypeError, AttributeError) as exc:
             # not a Constraint, an unhashable name, or a scope that is not a tuple
             raise InputError(
                 f"constraints[{pos}]: expected a Constraint of a name and a scope tuple, got {c!r}"
             ) from exc
-        object.__setattr__(self, "scopes", {name: s for name, (_, s) in groups.items() if s})
+        self._store(num_variables, domain_size, functions, groups, tuple(names))
+        self.__dict__["constraints"] = constraints
+
+    @classmethod
+    def _loaded(
+        cls,
+        num_variables: int,
+        domain_size: int,
+        functions: dict[str, WeightFunction],
+        groups: dict[str, list[tuple[int, ...]]],
+        names: tuple[str, ...],
+    ) -> "Instance":
+        """An instance from scopes grouped by catalog name, as the loader sorts them."""
+        _check_header(num_variables, domain_size, functions)
+        instance = cls.__new__(cls)
+        instance._store(num_variables, domain_size, functions, groups, names)
+        return instance
+
+    def _store(
+        self,
+        num_variables: int,
+        domain_size: int,
+        functions: dict[str, WeightFunction],
+        groups: dict[str, list[tuple[int, ...]]],
+        names: tuple[str, ...],
+    ) -> None:
+        """Check each function's scopes in bulk, then keep the stored form."""
+        for name, scopes in groups.items():
+            if scopes and not _scopes_fit(scopes, functions[name].arity, num_variables):
+                raise InputError(next(_scope_faults(num_variables, functions, groups, names)))
+        self.__dict__.update(
+            num_variables=num_variables,
+            domain_size=domain_size,
+            functions=functions,
+            scopes={name: scopes for name, scopes in groups.items() if scopes},
+            _names=names,
+        )
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """Every constraint, in input order, built from the stored form once."""
+        return tuple(map(Constraint, self._names, _in_order(self._names, self.scopes)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal names and equal per-function scopes give equal constraint tuples
+        return (
+            self.num_variables, self.domain_size, self.functions, self._names, self.scopes
+        ) == (
+            other.num_variables, other.domain_size, other.functions, other._names, other.scopes
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Instance(num_variables={self.num_variables!r}, domain_size={self.domain_size!r}, "
+            f"functions={self.functions!r}, constraints={self.constraints!r})"
+        )
+
+
+def _check_header(num_variables: object, domain_size: object, functions: object) -> None:
+    """Check both sizes and the catalog, in the order every instance reports them."""
+    n = _require_int(num_variables, "num_variables")
+    q = _require_int(domain_size, "domain_size")
+    if q < 2:
+        raise InputError(f"domain size must be at least 2, got {q}")
+    if n < 0:
+        raise InputError(f"negative variable count {n}")
+    # a wrong container can hold a whole instance, so its repr is abbreviated
+    if not isinstance(functions, dict):
+        raise InputError(f"functions: expected a dict, got {reprlib.repr(functions)}")
+    for name, fn in functions.items():
+        if not isinstance(fn, WeightFunction):
+            raise InputError(f"functions[{name!r}]: expected a WeightFunction, got {fn!r}")
+        if fn.domain_size != q:
+            raise InputError(f"function {name!r} has domain {fn.domain_size}, instance has {q}")
+
+
+def _scopes_fit(scopes: list[tuple], arity: int, n: int) -> bool:
+    """Whether every scope has ``arity`` variables, each an ``int`` in ``[0, n)``.
+
+    Each test is one pass in C over all of one function's scopes.
+    """
+    if set(map(len, scopes)) != {arity}:
+        return False
+    variables = list(chain.from_iterable(scopes))
+    return not variables or (
+        set(map(type, variables)) == {int} and min(variables) >= 0 and max(variables) < n
+    )
+
+
+def _in_order(names: Sequence[str], groups: dict[str, list[tuple]]) -> Iterator[tuple]:
+    """Each constraint's scope, in input order, taken from its function's group."""
+    heads = {name: iter(scopes) for name, scopes in groups.items()}
+    return map(next, map(heads.__getitem__, names))
+
+
+def _scope_faults(
+    n: int,
+    functions: dict[str, WeightFunction],
+    groups: dict[str, list[tuple]],
+    names: Sequence[str],
+) -> Iterator[str]:
+    """The message of each arity or variable fault, walking constraints in input order."""
+    for pos, (name, scope) in enumerate(zip(names, _in_order(names, groups))):
+        arity = functions[name].arity
+        if len(scope) != arity:
+            yield f"constraints[{pos}]: scope length {len(scope)} != arity {arity} of {name!r}"
+            continue
+        for j, v in enumerate(scope):
+            if type(v) is not int:
+                yield f"constraints[{pos}].scope[{j}]: expected an integer, got {v!r}"
+            elif not 0 <= v < n:
+                yield f"constraints[{pos}]: variable {v} out of range"
 
 
 def brute_force_z(instance: Instance, budget: int | None = None) -> Fraction:
@@ -486,23 +600,27 @@ def instance_from_obj(obj: object) -> Instance:
     if not isinstance(constraints_obj, list):
         raise InputError("constraints: expected a list")
 
-    constraints = []
+    groups: dict[str, list[tuple]] = {name: [] for name in catalog}
+    names = []
     for pos, spec in enumerate(constraints_obj):
         if not (isinstance(spec, dict) and len(spec) == 2 and "f" in spec and "scope" in spec):
             raise InputError(_constraint_shape_fault(spec, f"constraints[{pos}]"))
         name = spec["f"]
         if not isinstance(name, str):
             raise InputError(f"constraints[{pos}].f: expected a function name string")
-        if name not in catalog:
+        group = groups.get(name)
+        if group is None:
             builtin = resolve_builtin(name, q)
             if builtin is None:
                 raise InputError(f"constraints[{pos}].f: unknown function {name!r}")
             catalog[name] = builtin
+            group = groups[name] = []
         scope = spec["scope"]
         if not isinstance(scope, list):
             raise InputError(f"constraints[{pos}].scope: expected a list of variable indices")
-        constraints.append(Constraint(name, tuple(scope)))
-    return Instance(n, q, catalog, tuple(constraints))
+        group.append(tuple(scope))
+        names.append(name)
+    return Instance._loaded(n, q, catalog, groups, tuple(names))
 
 
 def decode_json(text: str) -> object:

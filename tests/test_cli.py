@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import decimal_digits, ising_direct
 
 import wcsp.cli as cli
-from wcsp.generate import product_type_chain
+from wcsp.generate import parity_spread, product_type_chain
 from wcsp.library import binary_disequality, delta
 from wcsp.model import (
     MAX_VALUE_BITS,
@@ -237,6 +237,31 @@ def test_eval_routes_and_values(tmp_path, capsys):
     assert code == 0
     assert report["evaluator"] == "brute-force"
     assert report["value"] == "4"
+
+
+@pytest.mark.parametrize(
+    "instance, route, value",
+    [
+        (product_type_chain(40), "product-type", 2**39 + 3**39 * 2**14),
+        (parity_spread(40), "pure-affine", 2**40),
+    ],
+    ids=["chain", "spread"],
+)
+def test_eval_of_a_tractable_instance_builds_no_constraint(
+    tmp_path, capsys, monkeypatch, instance, route, value
+):
+    built = []
+    real = Constraint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    path = write(tmp_path, "inst.json", instance_to_json(instance))
+    monkeypatch.setattr(Constraint, "__init__", counting)
+    code, report, _ = run(capsys, "eval", path)
+    assert (code, report["evaluator"], report["value"]) == (0, route, str(value))
+    assert built == []
 
 
 def test_eval_missing_and_malformed_files(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Core data model: rationals, indexing, instances, summation, JSON."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import decimal_digits, partition_function_direct, scopes_direct
 
 from wcsp.errors import InputError, Refusal
-from wcsp.generate import PROFILES, random_instance
+from wcsp.generate import PROFILES, parity_spread, product_type_chain, random_instance
 from wcsp.library import resolve_builtin
 from wcsp.model import (
     Constraint,
@@ -539,6 +540,137 @@ def test_the_first_fault_reported_is_shape_then_arity_then_variables(constraints
     with pytest.raises(InputError) as caught:
         parse_instance('{"q":2,"n":2,"functions":{},"constraints":%s}' % constraints)
     assert str(caught.value) == message
+
+
+def test_an_instance_built_in_code_reports_its_constraint_walk_before_arity_and_variables():
+    # the walk over the Constraint objects (object, name, scope tuple) runs
+    # before the bulk arity and variable check, as the loader's shape loop
+    # does; the tuple of constraints is checked after the whole catalog
+    neq = resolve_builtin("neq")
+    with pytest.raises(InputError) as caught:
+        Instance(2, 2, {"neq": neq}, (Constraint("neq", (0,)), Constraint("missing", (0, 1))))
+    assert str(caught.value) == "constraints[1]: unknown function 'missing'"
+    with pytest.raises(InputError) as caught:
+        Instance(2, 2, {"neq": neq}, (Constraint("neq", (0, 5)), Constraint("neq", [0, 1])))
+    assert str(caught.value) == (
+        "constraints[1]: expected a Constraint of a name and a scope tuple, "
+        "got Constraint(function='neq', scope=[0, 1])"
+    )
+    with pytest.raises(InputError) as caught:
+        Instance(2, 2, {"f": "x"}, None)
+    assert str(caught.value) == "functions['f']: expected a WeightFunction, got 'x'"
+
+
+def _relabelled_and_shuffled(instance, rng):
+    label = list(range(instance.num_variables))
+    rng.shuffle(label)
+    constraints = [
+        Constraint(c.function, tuple(label[v] for v in c.scope)) for c in instance.constraints
+    ]
+    rng.shuffle(constraints)
+    return Instance(
+        instance.num_variables, instance.domain_size, instance.functions, tuple(constraints)
+    )
+
+
+@given(st.sampled_from(PROFILES), st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 12))
+def test_a_loaded_instance_equals_the_one_built_in_code(profile, seed, n, m):
+    inst = _relabelled_and_shuffled(random_instance(profile, seed, n, m), random.Random(seed))
+    text = instance_to_json(inst)
+    loaded = parse_instance(text)
+    assert loaded == inst
+    assert loaded.constraints == inst.constraints
+    assert loaded.scopes == inst.scopes
+    assert list(loaded.scopes) == list(inst.scopes)
+    assert instance_to_json(loaded) == text
+
+
+def test_loading_builds_no_constraint_until_one_is_read(monkeypatch):
+    built = []
+    real = Constraint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    text = instance_to_json(product_type_chain(50))
+    expected = product_type_chain(50).constraints
+    monkeypatch.setattr(Constraint, "__init__", counting)
+    inst = parse_instance(text)
+    assert built == []
+    assert inst.scopes == {
+        "tie": [(v, v + 1) for v in range(49)],
+        "lean": [(v,) for v in range(0, 50, 3)],
+    }
+    assert inst.constraints == expected
+    assert len(built) == len(expected)
+    assert inst.constraints is inst.constraints  # built once, then cached
+    assert len(built) == len(expected)
+
+
+def test_an_instance_built_in_code_keeps_its_constraint_tuple():
+    inst = parity_spread(10)
+    again = Instance(10, 2, inst.functions, inst.constraints)
+    assert again.constraints is inst.constraints
+    assert again == inst and repr(again) == repr(inst)
+    assert repr(Instance(1, 2, {}, ())) == (
+        "Instance(num_variables=1, domain_size=2, functions={}, constraints=())"
+    )
+    with pytest.raises(AttributeError):
+        again.constraints = ()
+    with pytest.raises(AttributeError):
+        again.scopes = {}
+
+
+#: Ways to break one scope: a wrong length, or one variable replaced by a value
+#: that is not an int in range (``None`` stands for the variable count)
+BREAKS = ["longer", "shorter", True, False, 1.0, 0.5, "0", -1, None]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(PROFILES),
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 2), st.sampled_from(BREAKS)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_the_loader_and_the_in_code_check_report_the_same_first_fault(profile, seed, n, m, breaks):
+    inst = random_instance(profile, seed, n, m)
+    scopes = [list(c.scope) for c in inst.constraints]
+    for at, coordinate, kind in breaks:
+        scope = scopes[at % len(scopes)]
+        if kind == "longer" or kind == "shorter" and not scope:
+            scope.append(0)
+        elif kind == "shorter":
+            scope.pop()
+        elif scope:
+            scope[coordinate % len(scope)] = inst.num_variables if kind is None else kind
+    constraints = tuple(Constraint(c.function, tuple(s)) for c, s in zip(inst.constraints, scopes))
+    obj = instance_to_obj(inst)
+    for spec, scope in zip(obj["constraints"], scopes):
+        spec["scope"] = scope
+    faults = []
+    for build in (
+        lambda: Instance(inst.num_variables, inst.domain_size, inst.functions, constraints),
+        lambda: parse_instance(json.dumps(obj)),
+    ):
+        try:
+            build()
+            faults.append(None)
+        except InputError as exc:
+            faults.append(str(exc))
+    assert faults[0] == faults[1]
+    broken = any(
+        len(s) != inst.functions[c.function].arity
+        or any(type(v) is not int or not 0 <= v < inst.num_variables for v in s)
+        for c, s in zip(inst.constraints, scopes)
+    )
+    assert (faults[0] is not None) == broken
 
 
 def test_parse_instance_diagnostics():

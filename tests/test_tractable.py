@@ -34,6 +34,8 @@ from wcsp.model import (
     Instance,
     WeightFunction,
     brute_force_z,
+    instance_to_json,
+    parse_instance,
 )
 from wcsp.models import Graph, hom_instance, ising_matrix
 from wcsp.tractable import (
@@ -357,6 +359,32 @@ def test_pure_affine_route_is_linear_in_time_and_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, peak
+
+
+@pytest.mark.parametrize("build", [product_type_chain, parity_spread], ids=["chain", "spread"])
+def test_loading_is_linear(build):
+    seconds = {}
+    for n in (10**4, 10**5):
+        text = instance_to_json(build(n))
+        started = time.perf_counter()
+        instance = parse_instance(text)
+        seconds[n] = time.perf_counter() - started
+        assert instance.num_variables == n
+    assert seconds[10**5] <= max(20 * seconds[10**4], 2.0), seconds
+
+
+def test_a_loaded_instance_holds_its_scopes_and_little_else():
+    # the scope tuples, their ints and one name per constraint; one object
+    # per constraint besides would hold about 8 MB more
+    text = instance_to_json(parity_spread(10**5))
+    tracemalloc.start()
+    try:
+        instance = parse_instance(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(instance.scopes["xor3w"]) == 10**5 - 2
+    assert held <= 25 * 2**20, held
 
 
 # ---------------------------------------------------------------------------
