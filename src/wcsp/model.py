@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -196,17 +196,6 @@ class WeightFunction:
             if entry.numerator < 0:
                 raise InputError(f"table[{pos}]: negative weight {entry}")
 
-    @classmethod
-    def from_values(
-        cls, arity: int, values: Iterable[object], domain_size: int = 2
-    ) -> "WeightFunction":
-        """Build from ints / strings / Fractions, validating non-negativity."""
-        table = tuple(
-            v if isinstance(v, Fraction) else parse_rational(v, f"table[{i}]")
-            for i, v in enumerate(values)
-        )
-        return cls(arity, domain_size, table)
-
     def lookup(self, point: Sequence[int]) -> Fraction:
         """Value at a domain tuple, checking its length and every coordinate."""
         if len(point) != self.arity:
@@ -246,6 +235,7 @@ class Constraint:
     scope: tuple[int, ...]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Instance:
     """Variables, a function catalog, and constraints; immutable once built.
 
@@ -255,7 +245,9 @@ class Instance:
     ``constraints``, the tuple of :class:`Constraint`, is derived from the two
     on first read and cached.  A loaded instance builds it only when
     something reads it, and evaluating a tractable instance never does; an
-    instance built in code keeps the tuple it was given.
+    instance built in code keeps the tuple it was given.  Two instances are
+    equal when their sizes, catalogs, scopes and name tuples are, which is
+    when their constraint tuples are.
 
     Loaded or built in code, an instance passes one check.  The header comes
     first: both sizes are ``int``, the catalog is a ``dict`` of
@@ -271,6 +263,7 @@ class Instance:
     domain_size: int
     functions: dict[str, WeightFunction]
     scopes: dict[str, list[tuple[int, ...]]]
+    _names: tuple[str, ...]
 
     def __init__(
         self,
@@ -342,22 +335,7 @@ class Instance:
         """Every constraint, in input order, built from the stored form once."""
         return tuple(map(Constraint, self._names, _in_order(self._names, self.scopes)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # equal names and equal per-function scopes give equal constraint tuples
-        return (
-            self.num_variables, self.domain_size, self.functions, self._names, self.scopes
-        ) == (
-            other.num_variables, other.domain_size, other.functions, other._names, other.scopes
-        )
-
+    # a generated hash would fail on the catalog dict; this one names the class
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:

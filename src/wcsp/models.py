@@ -79,13 +79,6 @@ class Graph:
             out[v] += 1
         return out
 
-    def neighbors(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            out[u].add(v)
-            out[v].add(u)
-        return out
-
 
 def is_connected(graph: Graph) -> bool:
     # a connected graph has a spanning tree, so at least V - 1 edges; checked

@@ -614,18 +614,13 @@ def mobius_table(size: int) -> dict[Partition, int]:
     }
 
 
-def mobius_pinning_reduce(
-    instance: Instance,
-    evaluator: Evaluator,
-    constraint_index: int | None = None,
-) -> Fraction:
+def mobius_pinning_reduce(instance: Instance, evaluator: Evaluator) -> Fraction:
     """Partition value of an instance with one full-disequality constraint.
 
     The disequality over q distinct variables is removed by Moebius inversion:
     sum over all partitions of the q slots, merging the scoped variables
-    blockwise and weighting each merged instance by its Moebius number.  When
-    ``constraint_index`` is omitted the constraint is located by its table,
-    and exactly one match is required.
+    blockwise and weighting each merged instance by its Moebius number.  The
+    constraint is located by its table, and exactly one match is required.
     """
     q = instance.domain_size
     # first, so that a domain too large for the lattice is refused before the
@@ -640,30 +635,19 @@ def mobius_pinning_reduce(
         and all(fn.table[i] == 1 for i in permutation_points)
         and sum(map(bool, fn.table)) == len(permutation_points)
     }
-    if constraint_index is None:
-        matches = [
-            i for i, c in enumerate(instance.constraints) if c.function in disequalities
-        ]
-        if len(matches) != 1:
-            raise Refusal(
-                f"expected exactly one full-disequality constraint, found {len(matches)}"
-            )
-        constraint_index = matches[0]
-    if not 0 <= constraint_index < len(instance.constraints):
-        raise InputError(f"constraint index {constraint_index} out of range")
-    target = instance.constraints[constraint_index]
-    if target.function not in disequalities:
+    matches = [c for c in instance.constraints if c.function in disequalities]
+    if len(matches) != 1:
         raise Refusal(
-            f"constraint {constraint_index} is not the full-disequality function"
+            f"expected exactly one full-disequality constraint, found {len(matches)}"
         )
+    (target,) = matches
     if len(set(target.scope)) != q:
         raise Refusal("the disequality constraint needs q distinct variables")
-    base = tuple(
-        c for i, c in enumerate(instance.constraints) if i != constraint_index
-    )
-    catalog = {name: instance.functions[name] for name in instance.scopes}
-    if len(instance.scopes[target.function]) == 1:  # no other constraint uses it
-        del catalog[target.function]
+    # no other constraint uses the disequality's function, so it leaves the catalog
+    base = tuple(c for c in instance.constraints if c.function != target.function)
+    catalog = {
+        name: instance.functions[name] for name in instance.scopes if name != target.function
+    }
     slots = {v: slot for slot, v in enumerate(target.scope)}
     return _mobius_sum(instance, catalog, base, slots, table, evaluator)
 

@@ -153,7 +153,7 @@ def check_cut_identity(seed: int) -> list[CheckResult]:
     return results
 
 
-def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
+def run_suite(suite: str, seed: int) -> list[CheckResult]:
     """Run one named suite (or ``all``); unknown names raise ``ValueError``."""
     if suite == "oracle":
         return check_oracle_equivalence(seed)

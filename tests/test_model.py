@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -445,7 +446,7 @@ def test_conditioned_z_equals_enumeration_with_pin_constraints(profile, seed, n,
 @pytest.mark.parametrize("free", [0, 3, 8])
 def test_conditioned_z_budgets_only_the_free_variables(free):
     # 40 variables: weighted unaries everywhere, disequalities on even pairs.
-    lean = WeightFunction.from_values(1, [1, 2])
+    lean = WeightFunction(1, 2, (F(1), F(2)))
     constraints = [("lean", (v,)) for v in range(40)]
     constraints += [("neq", (v, v + 1)) for v in range(0, 40, 2)]
     inst = _instance(2, 40, {"lean": lean, "neq": resolve_builtin("neq")}, constraints)
@@ -620,6 +621,20 @@ def test_an_instance_built_in_code_keeps_its_constraint_tuple():
         again.constraints = ()
     with pytest.raises(AttributeError):
         again.scopes = {}
+
+
+def test_an_instance_is_frozen_unhashable_and_equal_only_in_constraint_order():
+    neq, eq = resolve_builtin("neq"), resolve_builtin("eq")
+    catalog = {"neq": neq, "eq": eq}
+    forward = (Constraint("neq", (0, 1)), Constraint("eq", (1, 2)))
+    inst = Instance(3, 2, catalog, forward)
+    with pytest.raises(TypeError, match="unhashable type: 'Instance'"):
+        hash(inst)
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'scopes'"):
+        del inst.scopes
+    assert (inst == object()) is False
+    assert inst == Instance(3, 2, {"neq": neq, "eq": eq}, forward)
+    assert inst != Instance(3, 2, catalog, forward[::-1])
 
 
 #: Ways to break one scope: a wrong length, or one variable replaced by a value

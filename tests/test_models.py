@@ -64,7 +64,6 @@ def test_graph_validation():
 def test_graph_degrees_and_neighbors():
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert triangle.degrees() == [2, 2, 2]
-    assert triangle.neighbors() == [{1, 2}, {0, 2}, {0, 1}]
     assert triangle.num_edges == 3
 
 

@@ -864,15 +864,11 @@ def test_mobius_pinning_detection_refusals():
     double = _instance(
         2, 3, {"neq": neq}, [("neq", (0, 1)), ("neq", (1, 2))]
     )
-    with pytest.raises(Refusal):
+    with pytest.raises(Refusal, match="exactly one full-disequality constraint, found 2"):
         mobius_pinning_reduce(double, brute_force_z)
-    # explicit index resolves the ambiguity
-    assert mobius_pinning_reduce(double, brute_force_z, constraint_index=0) == (
-        distinct_filtered_z(double, 0)
-    )
 
 
-def test_mobius_family_keeps_the_disequality_only_while_another_constraint_uses_it():
+def test_mobius_family_drops_the_disequality_and_unused_functions():
     neq = full_disequality(2)
     catalog = {"unused": binary_equality(), "neq": neq, "eq": binary_equality()}
     catalogs = []
@@ -886,25 +882,14 @@ def test_mobius_family_keeps_the_disequality_only_while_another_constraint_uses_
     assert catalogs and all(names == ["eq"] for names in catalogs)
     catalogs.clear()
     double = _instance(2, 3, catalog, [("neq", (0, 1)), ("eq", (1, 2)), ("neq", (1, 2))])
-    assert mobius_pinning_reduce(double, spy, constraint_index=0) == (
-        distinct_filtered_z(double, 0)
-    )
-    assert catalogs and all(names == ["neq", "eq"] for names in catalogs)
+    with pytest.raises(Refusal, match="exactly one full-disequality constraint, found 2"):
+        mobius_pinning_reduce(double, spy)
+    assert not catalogs
 
 
-def test_mobius_pinning_index_validation():
-    inst = _instance(
-        2,
-        2,
-        {"neq": full_disequality(2), "eq": binary_equality()},
-        [("eq", (0, 1)), ("neq", (0, 1))],
-    )
-    with pytest.raises(InputError):
-        mobius_pinning_reduce(inst, brute_force_z, constraint_index=5)
-    with pytest.raises(Refusal):
-        mobius_pinning_reduce(inst, brute_force_z, constraint_index=0)
+def test_mobius_pinning_refuses_a_repeated_scope():
     repeated = _instance(2, 2, {"neq": full_disequality(2)}, [("neq", (0, 0))])
-    with pytest.raises(Refusal):
+    with pytest.raises(Refusal, match="needs q distinct variables"):
         mobius_pinning_reduce(repeated, brute_force_z)
 
 
