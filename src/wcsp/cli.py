@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -618,6 +619,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No command builds reference cycles that grow with its input, so
+    # reference counting frees what it drops; the cyclic collector would
+    # only rescan the loaded instance.  Paused here, at the entry point that
+    # owns the process, on every way out.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     handler = getattr(args, "handler", None)

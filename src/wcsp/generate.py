@@ -13,6 +13,7 @@ Profiles:
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -139,12 +140,17 @@ def random_instance(
 ) -> Instance:
     """A reproducible random instance of the requested profile.
 
-    Refuses, before any draw, more than ``MAX_CONSTRAINTS`` constraints.
+    Refuses, before any draw, more than ``MAX_CONSTRAINTS`` constraints or
+    more than ``sys.maxsize`` variables.
     """
     if profile not in PROFILES:
         raise InputError(f"unknown profile {profile!r}; choose from {PROFILES}")
     if num_variables < 1:
         raise InputError(f"need at least one variable, got {num_variables}")
+    if num_variables > sys.maxsize:  # the most ``random.sample`` can index
+        raise Refusal(
+            f"{num_variables} variables requested, beyond the limit of {sys.maxsize}"
+        )
     if num_constraints < 0:
         raise InputError(f"constraint count must be non-negative, got {num_constraints}")
     if num_constraints > MAX_CONSTRAINTS:

@@ -177,6 +177,7 @@ def eval_product_type(instance: Instance, verdict: Verdict) -> Fraction:
     # entry goes to its variable's class once the ties are final.  A column
     # repeats one weight tuple, as allocating a container per entry triggers
     # the cyclic garbage collector, whose full passes scan the whole instance.
+    # `cli.main` pauses the collector, but library callers keep it on.
     variables: list[int] = []
     sides: list[int] = []
     weights: list[tuple[int, int]] = []

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: reports, exit codes, file handling."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1365,6 +1366,123 @@ def test_parser_is_built_by_the_first_call_and_only_once(tmp_path):
     assert result.stdout == b"1\n"
 
 
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+
+
+@pytest.fixture
+def collector():
+    """Leave the collector as the test found it, whatever the test does."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("start_enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, behaviour, outcome, evaluates",
+    [
+        (["eval", "xor3.json"], "real", 0, True),
+        (["eval", "absent.json"], "real", 2, False),
+        (["eval", "--force-oracle", "--budget", "1000", "big.json"], "real", 3, True),
+        (["reduce", "parity-chain", "--width", "2", "--verify"], "wrong", 4, True),
+        (["eval", "xor3.json"], "raise", RuntimeError, True),
+        (["--help"], "real", SystemExit(0), False),
+        (["eval", "--bogus", "xor3.json"], "real", SystemExit(2), False),
+    ],
+    ids=["exit-0", "exit-2", "exit-3", "exit-4", "runtime-error", "help", "bad-option"],
+)
+def test_main_pauses_the_collector_and_restores_its_state(
+    tmp_path, monkeypatch, collector, start_enabled, argv, behaviour, outcome, evaluates
+):
+    write(tmp_path, "xor3.json", XOR3_INSTANCE)
+    write(tmp_path, "big.json", '{"q":2,"n":24,"functions":{},"constraints":[]}')
+    seen = []
+    real = cli.evaluate
+
+    def recording(instance, **kwargs):
+        seen.append(gc.isenabled())
+        if behaviour == "raise":
+            raise RuntimeError("evaluator failed")
+        value, route = real(instance, **kwargs)
+        return (value + 1, route) if behaviour == "wrong" else (value, route)
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    if start_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if isinstance(outcome, int):
+            assert cli.main(argv) == outcome
+        elif isinstance(outcome, SystemExit):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == outcome.code
+        else:
+            with pytest.raises(outcome):
+                cli.main(argv)
+    assert gc.isenabled() is start_enabled
+    assert bool(seen) is evaluates and not any(seen)
+
+
+def _pinned_chain(n):
+    chain = product_type_chain(n)
+    functions = {**chain.functions, "delta0": delta(0), "delta1": delta(1)}
+    pins = (Constraint("delta0", (0,)), Constraint("delta1", (n - 1,)))
+    return Instance(n, 2, functions, chain.constraints + pins)
+
+
+def _hard_path(n):
+    spin = ising_matrix(Fraction(2, 3)).edge_function()
+    constraints = tuple(Constraint("spin", (v, v + 1)) for v in range(n - 1))
+    return Instance(n, 2, {"spin": spin}, constraints)
+
+
+def _cyclic_garbage(argv):
+    """Objects in reference cycles that ``main(argv)`` leaves, and its report."""
+    gc.collect()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    return gc.collect(), json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "command, make, sizes, route",
+    [
+        (["eval"], product_type_chain, (10**2, 10**4), "product-type"),
+        (["eval"], parity_spread, (10**2, 10**4), "pure-affine"),
+        (["eval"], _hard_path, (10**2, 10**4), "elimination"),
+        (["reduce", "pin-vars"], _pinned_chain, (10**2, 10**4), None),
+        (["gen", "--profile", "mixed", "--seed", "1", "--variables", "100"], None, (50, 5000), None),
+    ],
+    ids=["eval-chain", "eval-spread", "eval-elimination", "pin-vars", "gen"],
+)
+def test_no_command_leaves_cyclic_garbage_that_grows_with_its_input(
+    tmp_path, collector, command, make, sizes, route
+):
+    # main pauses the collector because of this: reference counting alone
+    # frees what a command drops, save a small constant (the stdlib JSON
+    # encoder's closures, 33 objects per report)
+    gc.disable()
+    counts = []
+    for size in sizes:
+        if make is None:
+            argv = [*command, "--constraints", str(size)]
+        else:
+            argv = [*command, write(tmp_path, f"{size}.json", instance_to_json(make(size)))]
+        _cyclic_garbage(argv)  # first use of a code path may leave one-off objects
+        count, report = _cyclic_garbage(argv)
+        counts.append(count)
+        assert report.get("evaluator") == route
+    assert counts[0] == counts[1] <= 64, counts
+
+
 def test_gen_refuses_a_huge_constraint_count_before_drawing():
     # the 10**8 constraints were drawn before any limit was checked, ending
     # in a MemoryError; a child process under a 1 GiB address-space cap
@@ -1591,6 +1709,93 @@ def test_interpolate_and_project_keep_the_exit_code_contract_on_hostile_input(
         preimage.write_text('{"q":2,"functions":{"g":{"arity":2,"table":[1,0,0,0]}}}')
         options = ["--function", "f", "--preimage", str(preimage), "--coordinates", "0"]
     _check_exit_code_contract(tmp_path_factory, ["reduce", reduction], obj, cut, options)
+
+
+def _check_option_contract(command, argv):
+    """``main(argv)`` on hostile option values: the exit code contract, and an
+    option argparse cannot read ends in its usage error, never a traceback.
+
+    Returns the exit code and standard output.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and not out.getvalue()
+            assert err.getvalue().splitlines()[-1].startswith(f"wcsp {command}: error: ")
+            return 2, ""
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("wcsp: ") and not out.getvalue()
+    return code, out.getvalue()
+
+
+# text no int() accepts: no decimal digit anywhere; never "--" alone, which
+# Python 3.11's argparse returns as a list from "--option=--", past its type
+_NOT_INT = st.one_of(
+    st.sampled_from(["", " ", "x", "1.5", "1e3", "0x10", "1/2", "nan", "-"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4).filter(
+        lambda text: text != "--"
+    ),
+)
+_SMALL_INTS = st.integers(-2, 8).map(str)
+# each is refused before anything is drawn: more than 2**20 constraints, or
+# more than sys.maxsize variables (10**12 is refused for graph-hom, whose
+# vertex pairs exceed the table budget, and draws only scopes otherwise)
+_HUGE_CONSTRAINTS = st.sampled_from([2**20 + 1, 10**12, 2**64, 10**4000]).map(str)
+_HUGE_VARIABLES = st.sampled_from([10**12, 2**63, 2**64, 10**4000]).map(str)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["product-type", "pure-affine", "mixed", "graph-hom", "bogus"]),
+    st.one_of(_SMALL_INTS, st.sampled_from(["-1", str(2**64), str(-(10**4000))]), _NOT_INT),
+    st.one_of(_SMALL_INTS, st.just("40"), _HUGE_VARIABLES, _NOT_INT),
+    st.one_of(_SMALL_INTS, st.just("200"), _HUGE_CONSTRAINTS, _NOT_INT),
+)
+@example("mixed", "1", str(2**63), "1")  # random.sample cannot index 2**63 variables
+@example("graph-hom", "1", str(10**4000), "1")  # its vertex pairs have 8000 digits
+def test_gen_keeps_the_exit_code_contract_on_hostile_options(
+    profile, seed, variables, constraints
+):
+    argv = [
+        "gen", f"--profile={profile}", f"--seed={seed}",
+        f"--variables={variables}", f"--constraints={constraints}",
+    ]
+    code, out = _check_option_contract("gen", argv)
+    if code == 0:
+        assert parse_instance(out).num_variables == max(int(variables), 2 * (profile == "graph-hom"))
+
+
+_ROWS = st.one_of(
+    st.lists(st.text("01", max_size=12), max_size=8),
+    st.lists(st.text("01 \t2x#", max_size=12), max_size=8),
+    # 2**k words, refused before the first is enumerated
+    st.integers(31, 40).map(lambda k: ["1"] * k),
+    # long rows: a huge lambda needs too many bits and is refused
+    st.sampled_from([["1" * 2000], ["1" * 2000, "01" * 1000]]),
+)
+_LAMBDAS = st.one_of(
+    st.sampled_from(["0", "1", "2", "1/2", "3/4", " 5 ", "7/1"]),
+    st.sampled_from([str(2**64), str(10**4000), f"1/{10**4000}", f"{10**4000}/3"]),
+    st.sampled_from(["", "x", "-1", "1/0", "0/0", "2/-3", "1.5", "1e3", "nan", "1/2/3"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300)
+@given(_ROWS, _LAMBDAS)
+@example(["1" * 1000], str(10**4000))
+def test_model_wenum_keeps_the_exit_code_contract_on_hostile_rows_and_lambda(
+    tmp_path_factory, rows, lam
+):
+    path = tmp_path_factory.getbasetemp() / "generator.txt"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["model", "wenum", f"--lambda={lam}", "--generator", str(path)]
+    code, out = _check_option_contract("model wenum", argv)
+    if code == 0:
+        assert json.loads(out)["command"] == "model wenum"
 
 
 _VALUES = st.sampled_from([0, 1, 2, "1/2"])
