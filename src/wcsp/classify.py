@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import prod
 from typing import Mapping
 
 from .errors import Refusal
@@ -195,11 +195,10 @@ def _product_witness(
         return None
 
     base = table[origin]
-    # Rows are compared as ints: with T the table times the lcm of its
-    # denominators, T[s] == T[s ^ mask] * ratio is T[s] * T[origin] ==
+    # Rows are compared as ints: with T the table's ``scaled`` ints,
+    # T[s] == T[s ^ mask] * ratio is T[s] * T[origin] ==
     # T[s ^ mask] * T[origin ^ mask].
-    common = lcm(*(x.denominator for x in table))
-    scaled = [x.numerator * (common // x.denominator) for x in table]
+    scaled = fn.scaled[1]
     witness_classes = []
     class_of_bit = {}  # column bit -> (class mask, T[origin ^ class mask])
     for members in classes.values():
@@ -278,7 +277,9 @@ def classify_function(fn: WeightFunction) -> FunctionReport:
     coset = coset_of(support)
     witness = _product_witness(fn, support, coset)
     level = fn.table[support[0]] if support else None
-    pure = coset is not None and all(fn.table[i] == level for i in support)
+    # every non-zero entry is in the support, so one level is a count
+    ints = fn.scaled[1]
+    pure = coset is not None and ints.count(ints[support[0]]) == len(support)
     affine = AffineWitness(level, coset_system(fn.arity, *coset)) if pure else None
     return FunctionReport(
         affine_support=coset is not None or not support,

@@ -457,10 +457,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _IntValue(argparse.Action):
+    """Store an ``int`` option, refusing ``--option=--`` with the usage error.
+
+    Python 3.11's argparse reads that spelling as an empty list and skips
+    the option's ``type``, so without this a handler would get a list.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        if not isinstance(values, int):
+            raise argparse.ArgumentError(self, "invalid int value: '--'")
+        setattr(namespace, self.dest, values)
+
+
 def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
+        action=_IntValue,
         default=None,
         help=(
             "largest elimination table (default 2**24 entries, held in memory), "
@@ -525,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = reduce_sub.add_parser("pin", help="pin one variable with a point-mass constraint")
     p.add_argument("path")
-    p.add_argument("--variable", type=int, required=True)
-    p.add_argument("--value", type=int, required=True)
+    p.add_argument("--variable", type=int, action=_IntValue, required=True)
+    p.add_argument("--value", type=int, action=_IntValue, required=True)
     _add_verify_flag(p)
     _add_budget(p)
     _add_output(p)
@@ -553,7 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce_interpolate)
 
     p = reduce_sub.add_parser("parity-chain", help="emit the parity-of-k gadget")
-    p.add_argument("--width", type=int, required=True, help="number of primary inputs")
+    p.add_argument(
+        "--width", type=int, action=_IntValue, required=True, help="number of primary inputs"
+    )
     _add_verify_flag(p)
     _add_budget(p)
     _add_output(p)
@@ -598,14 +614,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, action=_IntValue, default=0)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a reproducible random instance")
     p.add_argument("--profile", required=True, choices=PROFILES)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--variables", type=int, default=6)
-    p.add_argument("--constraints", type=int, default=8)
+    p.add_argument("--seed", type=int, action=_IntValue, required=True)
+    p.add_argument("--variables", type=int, action=_IntValue, default=6)
+    p.add_argument("--constraints", type=int, action=_IntValue, default=8)
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(handler=_cmd_gen)
 

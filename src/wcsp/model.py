@@ -12,7 +12,8 @@ Key conventions, used everywhere in the package:
 * a tuple ``(x_1, ..., x_k)`` over domain ``{0..q-1}`` is stored at table index
   ``sum(x_i * q**(k-i))`` -- the first coordinate is the most significant,
 * :meth:`WeightFunction.lookup` reads a table at a validated tuple; the
-  evaluators and classifiers index ``table`` directly by that layout,
+  evaluators and classifiers index ``table`` directly by that layout, and
+  passes over a whole table read its integer form ``WeightFunction.scaled``,
 * an :class:`Instance` stores its constraints grouped by function
   (``Instance.scopes``), the form every evaluator reads; the loader builds
   that form directly, and a tuple of :class:`Constraint` objects is made only
@@ -28,7 +29,9 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, compress, product, repeat
+from math import lcm
+from operator import attrgetter, floordiv, mul
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, Refusal
@@ -45,6 +48,8 @@ MAX_VALUE_BITS = 2**20
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _T = TypeVar("_T")
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def check_value_bits(what: str, bits: int) -> None:
@@ -190,11 +195,17 @@ class WeightFunction:
                 f"table has {entries} entries, expected {self.domain_size}**{self.arity} "
                 f"for arity {self.arity} over domain {self.domain_size}"
             )
-        for pos, entry in enumerate(self.table):
-            if not isinstance(entry, Fraction):
-                raise InputError(f"table[{pos}]: expected Fraction, got {type(entry).__name__}")
-            if entry.numerator < 0:
-                raise InputError(f"table[{pos}]: negative weight {entry}")
+        # entry types and signs in bulk (building ``scaled``); only a fault
+        # walks the table, to name the first faulty entry in table order
+        table = self.table
+        if not all(map(isinstance, table, repeat(Fraction))) or min(self.scaled[1]) < 0:
+            for pos, entry in enumerate(table):
+                if not isinstance(entry, Fraction):
+                    raise InputError(
+                        f"table[{pos}]: expected Fraction, got {type(entry).__name__}"
+                    )
+                if entry.numerator < 0:
+                    raise InputError(f"table[{pos}]: negative weight {entry}")
 
     def lookup(self, point: Sequence[int]) -> Fraction:
         """Value at a domain tuple, checking its length and every coordinate."""
@@ -209,18 +220,37 @@ class WeightFunction:
             index = index * self.domain_size + v
         return self.table[index]
 
-    # The table is immutable, so its hash, a pass over every entry, is taken
-    # once per object; classification's cache looks tables up by it.
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm ``d`` of the entries' denominators and the table times ``d``.
+
+        Entry ``i`` is ``Fraction(ints[i], d)`` for ``d, ints = scaled``.  Made
+        once per table, with C-level passes, it is the form every whole-table
+        pass reads: comparing, ordering or testing ints costs no ``Fraction``
+        method call per entry.  Equal tables have equal ``scaled``, since
+        fractions are stored reduced.
+        """
+        numerators = tuple(map(_numerator, self.table))
+        denominators = tuple(map(_denominator, self.table))
+        common = lcm(*denominators)
+        if common == 1:
+            return common, numerators
+        factors = map(floordiv, repeat(common), denominators)
+        return common, tuple(map(mul, numerators, factors))
+
+    # The table is immutable, so its hash is taken once per object, from the
+    # ints of ``scaled``; classification's cache looks tables up by it.
     @cached_property
     def _hash(self) -> int:
-        return hash((self.arity, self.domain_size, self.table))
+        return hash((self.arity, self.domain_size, self.scaled))
 
     def __hash__(self) -> int:
         return self._hash
 
     def support_indices(self) -> list[int]:
         """Table indices carrying non-zero weight, in increasing order."""
-        return [i for i, entry in enumerate(self.table) if entry]
+        ints = self.scaled[1]
+        return list(compress(range(len(ints)), ints))
 
 
 # ---------------------------------------------------------------------------

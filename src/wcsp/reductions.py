@@ -474,7 +474,8 @@ def extract_unary(fn: WeightFunction) -> UnaryExtraction | PinRecursion:
     coset = coset_of(support)
     if coset is None:
         raise Refusal("unary extraction requires an affine support")
-    if all(fn.table[index] == fn.table[support[0]] for index in support):
+    ints = fn.scaled[1]
+    if ints.count(ints[support[0]]) == len(support):  # one level on the support
         raise Refusal("the function is pure affine; there is no unary to extract")
 
     # every bit a member of the coset varies in is set in some basis vector
@@ -483,15 +484,15 @@ def extract_unary(fn: WeightFunction) -> UnaryExtraction | PinRecursion:
         varying |= vec
     # the first varying column is the highest varying bit
     column = fn.arity - varying.bit_length()
-    side_values: tuple[set[Fraction], set[Fraction]] = (set(), set())
+    side_values: tuple[set[int], set[int]] = (set(), set())
     for index in support:
-        side_values[index >> (fn.arity - 1 - column) & 1].add(fn.table[index])
+        side_values[index >> (fn.arity - 1 - column) & 1].add(ints[index])
     for side in (0, 1):
         if len(side_values[side]) >= 2:
             return PinRecursion(pin_coordinate(fn, column, side), column, side)
     (low,) = side_values[0]
     (high,) = side_values[1]
-    ratio = high / low
+    ratio = Fraction(high, low)  # the common denominator cancels
     return UnaryExtraction(unary_weight(ratio), ratio, column)
 
 
@@ -729,8 +730,10 @@ def symmetric_pinning_reduce_q(instance: Instance, evaluator: Evaluator) -> Frac
     if q == 2:
         for name, fn in family.items():
             # the negated point of index x sits at index 2**arity - 1 - x
-            for index, (value, mirror) in enumerate(zip(fn.table, reversed(fn.table))):
+            ints = fn.scaled[1]
+            for index, (value, mirror) in enumerate(zip(ints, reversed(ints))):
                 if value > mirror:
+                    value, mirror = fn.table[index], fn.table[-1 - index]
                     extra = Constraint(
                         name, tuple(n + bit for bit in index_to_tuple(index, fn.arity, 2))
                     )

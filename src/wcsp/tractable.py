@@ -11,11 +11,11 @@ the width of the constraint graph rather than by the number of variables.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from math import ceil, lcm, log2, prod
+from math import ceil, log2, prod
 from operator import itemgetter, xor
 
 # is_pure_affine and affine_system_of are re-exported: perfbench/tracing.py
@@ -256,8 +256,8 @@ def eval_pure_affine(instance: Instance, verdict: Verdict) -> Fraction:
 def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
     """Exact partition function of any instance by bucket elimination.
 
-    Each constraint becomes a factor over its scope, its table scaled to
-    integers, once per function, by the table's common denominator; each
+    Each constraint becomes a factor over its scope, its table's
+    ``scaled`` ints over their common denominator; each
     position of a variable repeated in a scope reads the same coordinate.
     Variables are summed out in min-degree order (Dechter, "Bucket
     elimination", 1999): eliminating one multiplies the factors that mention
@@ -296,20 +296,18 @@ def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:
         order.append(v)
 
     position = {v: i for i, v in enumerate(order)}
-    buckets: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in order]
+    buckets: list[list[tuple[tuple[int, ...], Sequence[int]]]] = [[] for _ in order]
     denominators: list[int] = []
 
-    def place(scope: tuple[int, ...], table: list[int]) -> None:
+    def place(scope: tuple[int, ...], table: Sequence[int]) -> None:
         if scope:
             buckets[min(position[v] for v in scope)].append((scope, table))
         else:
             numerators.append(table[0])
 
     for name, scopes in instance.scopes.items():
-        table = instance.functions[name].table
-        denominator = lcm(*(x.denominator for x in table))
+        denominator, scaled = instance.functions[name].scaled
         denominators.append(denominator ** len(scopes))
-        scaled = [x.numerator * (denominator // x.denominator) for x in table]
         for scope in scopes:
             place(scope, scaled)
 

@@ -1731,13 +1731,11 @@ def _check_option_contract(command, argv):
     return code, out.getvalue()
 
 
-# text no int() accepts: no decimal digit anywhere; never "--" alone, which
-# Python 3.11's argparse returns as a list from "--option=--", past its type
+# text no int() accepts: no decimal digit anywhere; "--" is there because
+# Python 3.11's argparse reads "--option=--" as a list, past the option's type
 _NOT_INT = st.one_of(
-    st.sampled_from(["", " ", "x", "1.5", "1e3", "0x10", "1/2", "nan", "-"]),
-    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4).filter(
-        lambda text: text != "--"
-    ),
+    st.sampled_from(["", " ", "x", "1.5", "1e3", "0x10", "1/2", "nan", "-", "--"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
 )
 _SMALL_INTS = st.integers(-2, 8).map(str)
 # each is refused before anything is drawn: more than 2**20 constraints, or
@@ -1766,6 +1764,56 @@ def test_gen_keeps_the_exit_code_contract_on_hostile_options(
     code, out = _check_option_contract("gen", argv)
     if code == 0:
         assert parse_instance(out).num_variables == max(int(variables), 2 * (profile == "graph-hom"))
+
+
+# each int option of the command line, given as "--option=--"
+_DOUBLE_DASH = [
+    ("eval", "--budget", ["--force-oracle", "--budget=--", "PATH"]),
+    ("verify", "--seed", ["--suite", "cut", "--seed=--"]),
+    ("gen", "--seed", ["--profile", "mixed", "--seed=--"]),
+    ("gen", "--variables", ["--profile", "mixed", "--seed", "1", "--variables=--"]),
+    ("gen", "--constraints", ["--profile", "mixed", "--seed", "1", "--constraints=--"]),
+    ("reduce pin", "--variable", ["PATH", "--variable=--", "--value", "0"]),
+    ("reduce pin", "--value", ["PATH", "--variable", "0", "--value=--"]),
+    ("reduce parity-chain", "--width", ["--width=--"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, argv", _DOUBLE_DASH, ids=[f"{c} {o}" for c, o, _ in _DOUBLE_DASH]
+)
+def test_an_int_option_given_as_double_dash_is_a_usage_error(tmp_path, command, option, argv):
+    path = tmp_path / "instance.json"
+    path.write_text('{"q":2,"n":1,"functions":{},"constraints":[]}', encoding="utf-8")
+    argv = [*command.split(), *(str(path) if arg == "PATH" else arg for arg in argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2 and not out.getvalue()
+    assert err.getvalue().splitlines()[-1] == (
+        f"wcsp {command}: error: argument {option}: invalid int value: '--'"
+    )
+
+
+@settings(max_examples=100)
+@given(st.one_of(_SMALL_INTS, st.sampled_from([str(2**64), str(-(10**4000))]), _NOT_INT))
+def test_eval_budget_and_verify_seed_keep_the_exit_code_contract_on_hostile_values(
+    tmp_path_factory, value
+):
+    path = tmp_path_factory.getbasetemp() / "budget.json"
+    path.write_text(
+        '{"q":2,"n":3,"functions":{},"constraints":[{"f":"neq","scope":[0,1]}]}',
+        encoding="utf-8",
+    )
+    code, out = _check_option_contract(
+        "eval", ["eval", "--force-oracle", f"--budget={value}", str(path)]
+    )
+    if code == 0:
+        assert json.loads(out)["value"] == "4"
+    code, out = _check_option_contract("verify", ["verify", "--suite", "cut", f"--seed={value}"])
+    if code == 0:
+        assert json.loads(out)["seed"] == int(value)
 
 
 _ROWS = st.one_of(

@@ -4,12 +4,14 @@ import json
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import decimal_digits, partition_function_direct, scopes_direct
 
+from wcsp.classify import classify_family, classify_function
 from wcsp.errors import InputError, Refusal
 from wcsp.generate import PROFILES, parity_spread, product_type_chain, random_instance
 from wcsp.library import resolve_builtin
@@ -113,6 +115,69 @@ def test_weight_function_validation():
         fn.lookup((0, 0))
     with pytest.raises(InputError):
         fn.lookup((2,))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ((F(1), F(-1), 1, F(2)), r"^table\[1\]: negative weight -1$"),
+        ((F(1), 1.0, F(-1), F(2)), r"^table\[1\]: expected Fraction, got float$"),
+        ((F(1), F(2), F(3), F(-1, 2)), r"^table\[3\]: negative weight -1/2$"),
+        ((F(1), F(2), F(3), 3), r"^table\[3\]: expected Fraction, got int$"),
+    ],
+)
+def test_table_validation_names_the_first_faulty_entry(table, message):
+    with pytest.raises(InputError, match=message):
+        WeightFunction(2, 2, table)
+
+
+_ENTRIES = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=40, max_denominator=12))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(2, 0), (2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3)]), st.data())
+def test_scaled_is_the_table_over_the_lcm_of_its_denominators(shape, data):
+    q, arity = shape
+    # entries come from a small pool of shared objects or are drawn fresh
+    pool = data.draw(st.lists(_ENTRIES, min_size=1, max_size=3))
+    entries = st.one_of(st.sampled_from(pool), _ENTRIES)
+    table = tuple(data.draw(st.lists(entries, min_size=q**arity, max_size=q**arity)))
+    fn = WeightFunction(arity, q, table)
+    common, ints = fn.scaled
+    assert common == lcm(*(entry.denominator for entry in table))
+    assert all(type(v) is int for v in ints)
+    assert [F(v, common) for v in ints] == list(table)
+    # equal entries made afresh, unreduced before Fraction reduces them
+    twin = WeightFunction(arity, q, tuple(F(3 * e.numerator, 3 * e.denominator) for e in table))
+    assert all(a is not b for a, b in zip(twin.table, table))
+    assert twin.scaled == fn.scaled and hash(twin) == hash(fn) and twin == fn
+    assert fn.support_indices() == [i for i, entry in enumerate(table) if entry]
+
+
+def test_hashing_and_classifying_a_large_table_hash_no_fraction(monkeypatch):
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    # product type (unary weights 1 and (col + 1)/7 on each of 12 columns),
+    # and pure affine (3/2 on even parity)
+    product_type = tuple(
+        prod(F(col + 1, 7) if index >> (11 - col) & 1 else F(1) for col in range(12))
+        for index in range(4096)
+    )
+    pure_affine = tuple(F(0) if bin(index).count("1") % 2 else F(3, 2) for index in range(4096))
+    for table in (product_type, pure_affine):
+        fn = WeightFunction(12, 2, table)
+        hash(fn)
+        report = classify_function(fn)
+        classify_family({"f": fn})
+        assert report.product_type is (table is product_type)
+        assert report.pure_affine is (table is pure_affine)
+    assert not calls
 
 
 def test_instance_validation():
