@@ -61,11 +61,11 @@ def is_pure_affine(fn: WeightFunction) -> bool:
 def useful_indices(fn: WeightFunction) -> list[int]:
     """Coordinates (0-based) where both slices carry some non-zero weight."""
     _require_boolean(fn, "useful index test")
-    table = fn.table
+    ints = fn.scaled[1]
     return [
         i
         for i, stride in enumerate(strides(fn.arity, 2))
-        if any(table[m] and table[m | stride] for m in range(len(table)) if not m & stride)
+        if any(ints[m] and ints[m | stride] for m in range(len(ints)) if not m & stride)
     ]
 
 
@@ -78,28 +78,18 @@ def is_product_like(fn: WeightFunction) -> tuple[bool, dict[int, Fraction]]:
     Returns the flag and the ratio for each useful coordinate.
     """
     _require_boolean(fn, "product-like test")
-    table = fn.table
+    ints = fn.scaled[1]
     step = strides(fn.arity, 2)
     ratios: dict[int, Fraction] = {}
     for i in useful_indices(fn):
         stride = step[i]
-        ratio: Fraction | None = None
-        for index in range(len(table)):
-            if index & stride:
-                continue
-            zero_side = table[index]
-            one_side = table[index | stride]
-            if not one_side:
-                if zero_side:
-                    return False, {}
-                continue
-            current = zero_side / one_side
-            if ratio is None:
-                ratio = current
-            elif ratio != current:
-                return False, {}
-        assert ratio is not None  # a useful index has a doubly-positive row
-        ratios[i] = ratio
+        rows = [(ints[m], ints[m | stride]) for m in range(len(ints)) if not m & stride]
+        # a useful index has a row with both sides non-zero: its pivot, whose
+        # ratio a0 / b0 every row a / b must match, as a * b0 == b * a0
+        a0, b0 = next((a, b) for a, b in rows if a and b)
+        if any(a * b0 != b * a0 for a, b in rows):
+            return False, {}
+        ratios[i] = Fraction(a0, b0)
     return True, ratios
 
 

@@ -45,8 +45,6 @@ DEFAULT_BUDGET = 2**30
 #: second, and four times as many bits take more than ten.
 MAX_VALUE_BITS = 2**20
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _T = TypeVar("_T")
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -450,7 +448,9 @@ def conditioned_z(
     ``pins`` is a sequence of ``(variable, value)`` pairs over distinct
     variables.  Every free variable counts against the budget, but only those
     that some constraint touches are enumerated; each of the others
-    multiplies the sum by ``q``.
+    multiplies the sum by ``q``.  Each constraint reads its function's
+    ``scaled`` ints through ``Instance.scopes``; an assignment stops at its
+    first zero entry, and the sum is divided once at the end.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     q, n = instance.domain_size, instance.num_variables
@@ -469,29 +469,35 @@ def conditioned_z(
         raise Refusal(
             f"enumeration of {q}**{free} weighted states exceeds the budget of {limit}"
         )
-    touched = sorted({v for c in instance.constraints for v in c.scope})
+    touched = sorted(
+        {v for scopes in instance.scopes.values() for scope in scopes for v in scope}
+    )
     at = {v: i for i, v in enumerate(touched)}
     domains = [(fixed[v],) if v in fixed else range(q) for v in touched]
-    specs = [
-        (instance.functions[c.function].table, [at[v] for v in c.scope])
-        for c in instance.constraints
-    ]
+    # each table's ints over its common denominator d, one spec per
+    # constraint; the sum of int products is divided once by each d per use
+    specs = []
+    denominator = 1
+    for name, scopes in instance.scopes.items():
+        d, ints = instance.functions[name].scaled
+        denominator *= d ** len(scopes)
+        specs += [(ints, [at[v] for v in scope]) for scope in scopes]
     untouched = free - sum(1 for v in touched if v not in fixed)
-    total = _ZERO
+    total = 0
     for sigma in product(*domains):
-        w = _ONE
-        for table, scope in specs:
+        w = 1
+        for ints, scope in specs:
             index = 0
             for v in scope:
                 index = index * q + sigma[v]
-            value = table[index]
+            value = ints[index]
             if not value:
-                w = _ZERO
+                w = 0
                 break
-            if value != 1:
-                w = w * value
+            if value != 1:  # an entry equal to d is still multiplied
+                w *= value
         total += w
-    return total * q**untouched
+    return Fraction(total * q**untouched, denominator)
 
 
 # ---------------------------------------------------------------------------

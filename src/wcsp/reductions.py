@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InvariantViolation, Refusal
 from .gf2 import coset_of
-from .library import delta, parity_indicator, unary_weight
+from .library import delta, full_disequality, parity_indicator, unary_weight
 from .model import (
     Constraint,
     Instance,
@@ -33,7 +33,6 @@ from .model import (
     index_to_tuple,
     strides,
     table_indices,
-    tuple_to_index,
 )
 
 Evaluator = Callable[[Instance], Fraction]
@@ -625,17 +624,10 @@ def mobius_pinning_reduce(instance: Instance, evaluator: Evaluator) -> Fraction:
     """
     q = instance.domain_size
     # first, so that a domain too large for the lattice is refused before the
-    # q! permutations are listed
+    # disequality's table is built
     table = mobius_table(q)
-    # the full disequality has arity q and is 1 at the q! permutations, else 0
-    permutation_points = [tuple_to_index(p, q) for p in permutations(range(q))]
-    disequalities = {
-        name
-        for name, fn in instance.functions.items()
-        if fn.arity == q
-        and all(fn.table[i] == 1 for i in permutation_points)
-        and sum(map(bool, fn.table)) == len(permutation_points)
-    }
+    disequality = full_disequality(q)
+    disequalities = {name for name, fn in instance.functions.items() if fn == disequality}
     matches = [c for c in instance.constraints if c.function in disequalities]
     if len(matches) != 1:
         raise Refusal(
@@ -682,8 +674,8 @@ def is_permutation_symmetric(
     """True when every function is invariant under every domain permutation.
 
     The q-cycle and the transposition of 0 and 1 generate all q! permutations,
-    so only those two are applied.  Each reads the table at the index of every
-    permuted point.
+    so only those two are applied.  Each reads the table's ``scaled`` ints at
+    the index of every permuted point.
     """
     q = domain_size
     cycle = [*range(1, q), 0]
@@ -691,9 +683,10 @@ def is_permutation_symmetric(
     for fn in functions.values():
         if fn.domain_size != q:
             raise InputError(f"a function over domain {fn.domain_size}, not {q}")
+        ints = fn.scaled[1]
         for perm in generators:
             image = table_indices([[perm[d] * s for d in range(q)] for s in strides(fn.arity, q)])
-            if tuple(map(fn.table.__getitem__, image)) != fn.table:
+            if tuple(map(ints.__getitem__, image)) != ints:
                 return False
     return True
 

@@ -114,27 +114,6 @@ def _tree_product(values: list[int]) -> int:
     return values[0] if values else 1
 
 
-def exact_product(factors: list[Fraction | int]) -> Fraction:
-    """Exact product of non-negative rationals at near-linear big-integer cost.
-
-    A running ``Fraction`` product reduces by a gcd of the ever-growing
-    partial result at every step, which is quadratic in the result's size.
-    Here numerators and denominators are multiplied as plain ints in balanced
-    product trees, and the result is reduced once.
-    """
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for factor in factors:
-        numerator = factor.numerator
-        if not numerator:
-            return _ZERO
-        if numerator != 1:
-            numerators.append(numerator)
-        if factor.denominator != 1:
-            denominators.append(factor.denominator)
-    return Fraction(_tree_product(numerators), _tree_product(denominators))
-
-
 def _witnesses(instance: Instance, verdict: Verdict, kind: str, field: str) -> dict:
     """The witnesses of one kind in the verdict's reports, by function name.
 
@@ -235,10 +214,14 @@ def eval_pure_affine(instance: Instance, verdict: Verdict) -> Fraction:
     """
     witnesses = _witnesses(instance, verdict, "pure affine", "affine_witness")
     rows: list[tuple[int, int, int]] = []
-    levels: list[Fraction] = []
+    # Z's numerator and denominator factors: each level, raised to its
+    # constraint count, then the solution count
+    numerators: list[int] = []
+    denominators: list[int] = []
     for name, group in instance.scopes.items():
         witness = witnesses[name]
-        levels.append(witness.level ** len(group))
+        numerators.append(witness.level.numerator ** len(group))
+        denominators.append(witness.level.denominator ** len(group))
         # Coordinate i of every scope in the group: each witness row is then
         # built for all of the group's constraints at once, column by column.
         columns = [list(map(itemgetter(i), group)) for i in range(len(group[0]))]
@@ -249,8 +232,8 @@ def eval_pure_affine(instance: Instance, verdict: Verdict) -> Fraction:
             for column in picked:  # a variable repeated in a scope cancels
                 masks = [m ^ 1 << (v - b) for m, v, b in zip(masks, column, lows)]
             rows.extend(zip(lows, masks, repeat(constant)))
-    count = count_solutions(Gf2System(instance.num_variables, tuple(rows)))
-    return exact_product([*levels, count])
+    numerators.append(count_solutions(Gf2System(instance.num_variables, tuple(rows))))
+    return Fraction(_tree_product(numerators), _tree_product(denominators))
 
 
 def eval_elimination(instance: Instance, budget: int | None = None) -> Fraction:

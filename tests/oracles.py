@@ -166,6 +166,36 @@ def pure_affine_direct(table) -> bool:
     return affine_by_closure(support, 0)
 
 
+def product_like_direct(table, arity: int) -> tuple[bool, dict[int, Fraction]]:
+    """Whether each useful coordinate has one ratio between its two slices.
+
+    A coordinate is useful when some row (a setting of the other coordinates)
+    is non-zero on both slices.  Each of its rows is divided out as a
+    ``Fraction``: a row that vanishes on the 1-slice must vanish on the
+    0-slice, and every other row's ratio must equal the first one.
+    """
+    values = [Fraction(v) for v in table]
+    ratios = {}
+    for i in range(arity):
+        stride = 1 << (arity - 1 - i)
+        rows = [(values[m], values[m | stride]) for m in range(len(values)) if not m & stride]
+        if not any(zero_side and one_side for zero_side, one_side in rows):
+            continue
+        ratio = None
+        for zero_side, one_side in rows:
+            if not one_side:
+                if zero_side:
+                    return False, {}
+                continue
+            current = zero_side / one_side
+            if ratio is None:
+                ratio = current
+            elif ratio != current:
+                return False, {}
+        ratios[i] = ratio
+    return True, ratios
+
+
 # ---------------------------------------------------------------------------
 # table transforms, point by point
 # ---------------------------------------------------------------------------

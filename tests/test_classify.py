@@ -10,11 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
     affine_by_closure,
+    product_like_direct,
     product_type_by_decomposition,
     pure_affine_direct,
 )
@@ -150,6 +151,29 @@ def test_is_product_like_hand_values():
     assert ok and ratios == {}  # vacuously: no useful coordinate
     ok, ratios = is_product_like(unary_weight(F(3, 4)))
     assert ok and ratios == {0: F(4, 3)}
+
+
+_PRODUCT_LIKE_VALUES = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(3)])
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda arity: st.tuples(
+            st.just(arity), st.lists(_PRODUCT_LIKE_VALUES, min_size=2**arity, max_size=2**arity)
+        )
+    )
+)
+@example((2, [F(1), F(2), F(1, 2), F(1)]))  # ratios 2 and 1/2
+@example((2, [F(0), F(0), F(1, 2), F(3)]))  # a both-zero row, and an unused coordinate
+@example((3, [F(2), F(1), F(2), F(1), F(1), F(1, 2), F(1), F(1, 2)]))
+@example((2, [F(0), F(1), F(2), F(2)]))  # zero on the 0-slice only: not product like
+def test_is_product_like_matches_the_fraction_loop(drawn):
+    arity, table = drawn
+    function = fn(arity, *table)
+    expected = product_like_direct(table, arity)
+    assert is_product_like(function) == expected
+    if expected[0]:
+        assert useful_indices(function) == sorted(expected[1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import decimal_digits, ising_direct
 
 import wcsp.cli as cli
+import wcsp.model as model
 from wcsp.generate import parity_spread, product_type_chain
 from wcsp.library import binary_disequality, delta
 from wcsp.model import (
@@ -686,6 +687,56 @@ def test_reduce_pin(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["eval", "{path}", "--force-oracle"], 1),
+        (["reduce", "pin", "{path}", "--variable", "3", "--value", "1", "--verify"], 2),
+    ],
+    ids=["eval-force-oracle", "reduce-pin-verify"],
+)
+def test_the_oracle_builds_no_constraint_and_multiplies_no_fraction(
+    tmp_path, capsys, monkeypatch, argv, calls
+):
+    # a loaded Ising cycle with chords, lambda = 3/2: every entry needs a product
+    graph = Graph(10, tuple((v, v + 1) for v in range(9)) + ((0, 9), (0, 5), (2, 7)))
+    instance = hom_instance(graph, ising_matrix(Fraction(3, 2)))
+    path = write(tmp_path, "inst.json", instance_to_json(instance))
+    argv = [path if arg == "{path}" else arg for arg in argv]
+    inside, entered, built, products = [], [], [], []
+    real_init, real_mul, real_oracle = Constraint.__init__, Fraction.__mul__, model.conditioned_z
+
+    def counting_init(self, *args, **kwargs):
+        if inside:
+            built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_mul(self, other):
+        if inside:
+            products.append(other)
+        return real_mul(self, other)
+
+    def oracle(*args, **kwargs):
+        entered.append(args)
+        inside.append(True)
+        try:
+            return real_oracle(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Constraint, "__init__", counting_init)
+    monkeypatch.setattr(Fraction, "__mul__", counting_mul)
+    monkeypatch.setattr(model, "conditioned_z", oracle)  # brute_force_z's callee
+    monkeypatch.setattr(cli, "conditioned_z", oracle)
+    code, report, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[0] == "eval":
+        assert report["value"] == format_rational(ising_direct(graph, Fraction(3, 2)))
+    else:
+        assert report["verified"] is True
+    assert (len(entered), built, products) == (calls, [], [])
+
+
 def test_reduce_pin_vars(tmp_path, capsys):
     instance = (
         '{"q":2,"n":2,"functions":{},'
@@ -1038,6 +1089,25 @@ def test_gen_output_matches_recorded_digests(capsys, profile):
         assert cli.main(["gen", "--profile", profile, "--seed", str(seed)]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == GEN_DIGESTS[profile]
+
+
+# sha256 of the concatenated `wcsp gen --profile graph-hom --variables 20`
+# stdout for seeds 0..20.  The default 8 constraints ask for fewer edges than
+# the 19 of a spanning tree, so no extra edge is drawn; the vertex pairs are
+# still listed and shuffled, and the shuffle's draws come before the edge
+# weight's.
+GRAPH_HOM_TREE_DIGEST = "3d7d2e0fd059c75dbf27634a6c27392df351c0612cb9b8c5f82ce58caad43eea"
+
+
+def test_gen_graph_hom_without_extra_edges_matches_its_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    for seed in range(21):
+        argv = ["gen", "--profile", "graph-hom", "--seed", str(seed), "--variables", "20"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["constraints"]) == 19
+        digest.update(out.encode())
+    assert digest.hexdigest() == GRAPH_HOM_TREE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from oracles import decimal_digits, partition_function_direct, scopes_direct
 from wcsp.classify import classify_family, classify_function
 from wcsp.errors import InputError, Refusal
 from wcsp.generate import PROFILES, parity_spread, product_type_chain, random_instance
-from wcsp.library import resolve_builtin
+from wcsp.library import delta, resolve_builtin
 from wcsp.model import (
     Constraint,
     Instance,
@@ -506,6 +506,77 @@ def test_conditioned_z_equals_enumeration_with_pin_constraints(profile, seed, n,
     variables = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     pins = [(var, data.draw(st.integers(0, 1))) for var in variables]
     assert conditioned_z(inst, pins) == brute_force_z(_with_pin_constraints(inst, pins))
+
+
+# entries with distinct denominators, mostly zero, or all positive
+_ORACLE_ENTRIES = [
+    st.sampled_from([F(0), F(1), F(1, 2), F(2, 3), F(3, 5), F(5, 7), F(4)]),
+    st.sampled_from([F(0)] * 5 + [F(1), F(3, 2)]),
+    st.fractions(F(1, 4), 4, max_denominator=4),
+]
+
+
+@st.composite
+def _pinned_instances(draw):
+    """An instance with some of its variables pinned, and the same instance
+    with one pin constraint per pinned variable instead.
+
+    q = 2 or 3; functions of arity 0 to 3 (2 at q = 3), scopes that may
+    repeat a variable, variables that no constraint touches, and pins on
+    touched and untouched variables alike.
+    """
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6 if q == 2 else 4))
+    entries = draw(st.sampled_from(_ORACLE_ENTRIES))
+    functions = {}
+    for name in ("f", "g", "h")[: draw(st.integers(1, 3))]:
+        arity = draw(st.integers(0, 3 if q == 2 else 2))
+        table = draw(st.lists(entries, min_size=q**arity, max_size=q**arity))
+        functions[name] = WeightFunction(arity, q, tuple(table))
+    constraints = []
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(sorted(functions)))
+        arity = functions[name].arity
+        scope = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity))
+        constraints.append(Constraint(name, tuple(scope)))
+    variables = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    pins = [(var, draw(st.integers(0, q - 1))) for var in variables]
+    return _pinned_pair(q, n, functions, constraints, pins)
+
+
+def _pinned_pair(q, n, functions, constraints, pins):
+    inst = Instance(n, q, functions, tuple(constraints))
+    pinned = dict(functions, **{f"pin{value}": delta(value, q) for value in range(q)})
+    extra = tuple(Constraint(f"pin{value}", (var,)) for var, value in pins)
+    return inst, pins, Instance(n, q, pinned, inst.constraints + extra)
+
+
+@settings(max_examples=300)
+@given(_pinned_instances())
+@example(  # an arity-0 scale, a repeated variable, an untouched pinned variable
+    _pinned_pair(
+        2,
+        4,
+        {
+            "s": WeightFunction(0, 2, (F(2, 3),)),
+            "f": WeightFunction(2, 2, (F(1, 2), F(0), F(3), F(1))),
+        },
+        [Constraint("s", ()), Constraint("f", (0, 0)), Constraint("f", (0, 1))],
+        [(3, 1), (1, 0)],
+    )
+)
+@example(  # q = 3: entries equal to d are weight 1 and still multiplied
+    _pinned_pair(
+        3,
+        3,
+        {"f": WeightFunction(2, 3, tuple(F(v) for v in ("1/2", 1, 1, 1, "1/2", 0, 2, 1, "1/2")))},
+        [Constraint("f", (0, 1)), Constraint("f", (1, 2)), Constraint("f", (2, 2))],
+        [(1, 2)],
+    )
+)
+def test_conditioned_z_equals_the_direct_oracle(drawn):
+    inst, pins, pinned = drawn
+    assert conditioned_z(inst, pins) == partition_function_direct(pinned)
 
 
 @pytest.mark.parametrize("free", [0, 3, 8])

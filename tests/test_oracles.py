@@ -16,6 +16,7 @@ from oracles import (
     gf2_count_direct,
     ising_direct,
     partition_function_direct,
+    product_like_direct,
     product_type_by_decomposition,
     pure_affine_direct,
     rank1_hom_value,
@@ -55,6 +56,18 @@ def test_decomposition_search_on_known_tables():
     assert product_type_by_decomposition([5], 0)
     # every unary decomposes
     assert product_type_by_decomposition([3, 7], 1)
+
+
+def test_product_like_direct_on_known_tables():
+    # (1, 3, 2, 6) = (1, 2) x (1, 3): slice ratios 1/2 and 1/3
+    assert product_like_direct([1, 3, 2, 6], 2) == (True, {0: F(1, 2), 1: F(1, 3)})
+    # skewed: rows (1, 1) and (1, 2) of the second coordinate differ
+    assert product_like_direct([1, 1, 1, 2], 2) == (False, {})
+    # disequality: no row is positive on both slices, so nothing is useful
+    assert product_like_direct([0, 1, 1, 0], 2) == (True, {})
+    # the 1-slice vanishes where the 0-slice does not
+    assert product_like_direct([1, 1, 1, 0], 2) == (False, {})
+    assert product_like_direct([3, 4], 1) == (True, {0: F(3, 4)})
 
 
 def test_affine_closure_on_known_relations():

@@ -44,7 +44,6 @@ from wcsp.tractable import (
     eval_product_type,
     eval_pure_affine,
     evaluate,
-    exact_product,
 )
 
 F = Fraction
@@ -136,34 +135,6 @@ def test_parity_union_find_tie_matches_breadth_first_components(case):
             assert (roots[a] == roots[b]) == (component[a] == component[b])
             if roots[a] == roots[b]:
                 assert parities[a] ^ parities[b] == colour[a] ^ colour[b]
-
-
-# ---------------------------------------------------------------------------
-# exact products
-
-_FACTORS = st.fractions(min_value=0, max_value=12, max_denominator=12)
-
-
-@given(
-    st.one_of(
-        st.lists(_FACTORS, max_size=30),
-        st.builds(
-            lambda pool, length: [pool[i % len(pool)] for i in range(length)],
-            st.lists(_FACTORS, min_size=1, max_size=4),
-            st.integers(0, 10**4),
-        ),
-    )
-)
-@example([])
-@example([F(1)] * 10**4)
-@example([F(2), F(0), F(1, 3)])
-@example([F(3, 2), F(2, 9)] * 5000)
-@example([3, F(1, 6), 1 << 100])
-def test_exact_product_matches_sequential_product(factors):
-    expected = F(1)
-    for factor in factors:
-        expected *= factor
-    assert exact_product(factors) == expected
 
 
 # ---------------------------------------------------------------------------
